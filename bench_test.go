@@ -11,7 +11,6 @@ package repro
 
 import (
 	"math/rand/v2"
-	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -153,10 +152,8 @@ func BenchmarkExtensionBursts(b *testing.B) { benchFigure(b, experiment.Extensio
 
 // newRebuildBench wires a DCRD router over an n-node degree-8 overlay with
 // 10 topics and measurement-based monitoring at the paper's scale: 5-minute
-// windows (§IV) probed at 1 Hz, i.e. 300 samples per link per window. The
-// per-epoch route-table refresh of this deployment is the workload the
-// rebuild engine accelerates.
-func newRebuildBench(b *testing.B, n int, opts core.RouterOptions) (*des.Simulator, *core.Router) {
+// windows (§IV) probed at 1 Hz, i.e. 300 samples per link per window.
+func newRebuildBench(b *testing.B, n int) (*des.Simulator, *core.Router) {
 	b.Helper()
 	rng := rand.New(rand.NewPCG(uint64(n), 0xbe9c))
 	g, err := topology.RandomRegular(n, 8, topology.DefaultDelayRange(), rng)
@@ -184,7 +181,7 @@ func newRebuildBench(b *testing.B, n int, opts core.RouterOptions) (*des.Simulat
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := core.NewRouter(net, w, metrics.NewCollector(), opts)
+	r, err := core.NewRouter(net, w, metrics.NewCollector(), core.RouterOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -193,48 +190,31 @@ func newRebuildBench(b *testing.B, n int, opts core.RouterOptions) (*des.Simulat
 
 // BenchmarkRebuild measures one monitoring-epoch route-table refresh per
 // iteration (the simulated clock advances one window each time, so every
-// iteration faces fresh sampled estimates): cold is the from-scratch
-// pre-incremental path, warm the incremental engine (shared snapshot,
-// version check, dirty-pair filter, warm-started builds), parallel the
-// incremental engine with a worker per CPU.
+// iteration faces fresh sampled estimates and every pair rebuilds): cold is
+// the per-pair-snapshot oracle, driver the path simulations take (one
+// snapshot shared by all pairs).
 func BenchmarkRebuild(b *testing.B) {
 	for _, n := range []int{20, 160} {
-		b.Run(benchName("cold", n), func(b *testing.B) {
-			sim, r := newRebuildBench(b, n, core.RouterOptions{})
-			at := 5 * time.Minute
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				sim.RunUntil(at)
-				at += 5 * time.Minute
-				b.StartTimer()
-				r.RebuildCold()
-			}
-		})
-		b.Run(benchName("warm", n), func(b *testing.B) {
-			sim, r := newRebuildBench(b, n, core.RouterOptions{})
-			at := 5 * time.Minute
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				sim.RunUntil(at)
-				at += 5 * time.Minute
-				b.StartTimer()
-				r.Rebuild()
-			}
-		})
-		b.Run(benchName("parallel", n), func(b *testing.B) {
-			sim, r := newRebuildBench(b, n, core.RouterOptions{RebuildWorkers: runtime.GOMAXPROCS(0)})
-			at := 5 * time.Minute
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				sim.RunUntil(at)
-				at += 5 * time.Minute
-				b.StartTimer()
-				r.Rebuild()
-			}
-		})
+		for _, mode := range []struct {
+			name    string
+			rebuild func(*core.Router)
+		}{
+			{"cold", (*core.Router).RebuildCold},
+			{"driver", (*core.Router).Rebuild},
+		} {
+			b.Run(benchName(mode.name, n), func(b *testing.B) {
+				sim, r := newRebuildBench(b, n)
+				at := 5 * time.Minute
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					sim.RunUntil(at)
+					at += 5 * time.Minute
+					b.StartTimer()
+					mode.rebuild(r)
+				}
+			})
+		}
 	}
 }
 

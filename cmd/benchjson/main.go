@@ -29,8 +29,7 @@
 // p99_us, as dcrd-loadgen emits) — when the percentile rises above the
 // baseline's by more than -threshold. The baseline may be flat (an object keyed by benchmark
 // name, as emitted by this tool) or sectioned like BENCH_baseline.json,
-// where a "current" section holds the reference numbers and historical
-// sections ("seed", "optimized", ...) are kept for the record. Benchmarks
+// where a "current" section holds the reference numbers. Benchmarks
 // absent from the baseline are reported as new, not failed, so adding a
 // benchmark never breaks the check. (The wire codec's and forwarding
 // engine's strict zero-allocs-per-op properties are enforced by
@@ -171,7 +170,7 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 
 // loadBaseline reads reference ns/op numbers from a baseline file. Two
 // shapes are understood: the sectioned BENCH_baseline.json (reference
-// numbers under "current", history under other keys) and the flat object
+// numbers under "current") and the flat object
 // this tool emits without -check.
 func loadBaseline(path string) (map[string]Result, error) {
 	data, err := os.ReadFile(path)

@@ -152,7 +152,7 @@ func run(args []string) error {
 		st := &sessionStats{}
 		stats[s] = st
 		sess, err := broker.DialSession(*addr, fmt.Sprintf("loadgen-%d", s),
-			uint32(*subscribers / *sessions+1), func(m *wire.MuxDeliver) {
+			uint32(*subscribers / *sessions + 1), func(m *wire.MuxDeliver) {
 				n := uint64(len(m.SubIDs))
 				st.hist.add(time.Since(m.PublishedAt), n)
 				st.delivered += n

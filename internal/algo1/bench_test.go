@@ -9,14 +9,13 @@ import (
 )
 
 // BenchmarkControlPlaneEpoch measures one control-loop epoch through the
-// shared incremental engine: a Driver over a gossip-shaped monitor with a
-// registered pair set, stepped one estimate version per iteration.
+// shared engine: a Driver over a gossip-shaped monitor with a registered
+// pair set, one Rebuild per iteration.
 //
-//   - quiet: the version advances but no estimate moved — the pointer-identity
-//     no-op path every idle LinkStateInterval tick takes.
-//   - dirty: a sparse 3-link gossip delta lands each epoch — the warm-start
-//     path a live link-quality wobble takes. Only pairs whose tables actually
-//     touch a changed link rebuild.
+//   - quiet: the estimate version is unchanged — the pointer-identity no-op
+//     every idle LinkStateInterval tick takes.
+//   - dirty: a sparse 3-link gossip delta lands each epoch, as a live
+//     link-quality wobble does, and every pair rebuilds.
 func BenchmarkControlPlaneEpoch(b *testing.B) {
 	setup := func(b *testing.B) (*Driver, *fakeMonitor, [][2]int) {
 		b.Helper()
@@ -47,11 +46,10 @@ func BenchmarkControlPlaneEpoch(b *testing.B) {
 	}
 
 	b.Run("quiet", func(b *testing.B) {
-		d, mon, _ := setup(b)
+		d, _, _ := setup(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mon.bumpQuiet()
 			if d.Rebuild() {
 				b.Fatal("quiet epoch rebuilt tables")
 			}

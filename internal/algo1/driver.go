@@ -2,8 +2,6 @@ package algo1
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/topology"
@@ -11,22 +9,15 @@ import (
 
 // Deps is the monitoring substrate a Driver rebuilds route tables from.
 // The driver never samples links itself; it asks the environment for a
-// version counter, the set of links whose estimates changed between two
-// versions, and the current single-transmission <alpha, gamma> estimate of
-// a directed link. The simulator backs this with netsim's deterministic
-// monitoring windows; the live broker backs it with a gossip-fed link-state
-// database measured from real traffic. The changed-link sets are what make
-// a quiet epoch a pointer-identity no-op: the version moved but nothing the
-// tables depend on did, so every table survives untouched.
+// version counter and the current single-transmission <alpha, gamma>
+// estimate of a directed link. The simulator backs this with netsim's
+// deterministic monitoring windows; the live broker backs it with a
+// gossip-fed link-state database measured from real traffic.
 type Deps interface {
-	// EstimateVersion is a counter that advances whenever any link estimate
-	// may have changed. Equal versions guarantee equal estimates.
+	// EstimateVersion is a counter that advances only when an estimate may
+	// have changed. Equal versions guarantee equal estimates, which is what
+	// makes an unchanged version a pointer-identity no-op.
 	EstimateVersion() uint64
-	// AppendChangedLinks appends every link whose estimate changed in
-	// versions (from, to] to dst and returns it. Over-approximating is
-	// sound (extra pairs are rebuilt to identical tables); omitting a
-	// genuinely changed link is not.
-	AppendChangedLinks(from, to uint64, dst [][2]int) [][2]int
 	// LinkEstimate reports the current single-transmission <alpha, gamma>
 	// estimate of directed link (u, v). ok is false when the link is
 	// unknown or down.
@@ -43,16 +34,12 @@ type PairKey struct {
 type DriverOptions struct {
 	// Build tunes the per-pair Algorithm-1 fixpoint.
 	Build BuildOptions
-	// Workers bounds the worker pool Rebuild fans independent pair builds
-	// out over. Values <= 1 build serially. Output is deterministic either
-	// way: pair builds are pure and results are installed in index order.
-	Workers int
 }
 
 // pairState is one registered (topic, subscriber) pair: its authoritative
 // budget vector, its current table (nil before the first build) and a dirty
-// mark forcing a rebuild regardless of changed links (new registration or a
-// changed budget/graph).
+// mark forcing a rebuild under an unchanged estimate version (new
+// registration or a changed budget/graph).
 type pairState struct {
 	sub    int
 	budget []time.Duration
@@ -60,15 +47,13 @@ type pairState struct {
 	dirty  bool
 }
 
-// Driver schedules incremental Algorithm-1 rebuilds: it owns the route
-// tables for a set of registered (topic, subscriber) pairs and refreshes
-// them from its Deps on demand. Rebuild is the whole contract — when the
-// estimate version is unchanged the call is a no-op reusing every prior
-// table; otherwise one shared link-stats Snapshot is built for the epoch,
-// pairs untouched by any changed link keep their tables (pointer identity),
-// and dirty pairs are warm-started from their previous fixpoint. The
-// resulting tables are exactly the tables a from-scratch build would
-// produce (RebuildCold, which tests cross-check against).
+// Driver owns the route tables for a set of registered (topic, subscriber)
+// pairs and refreshes them from its Deps on demand. Rebuild is the whole
+// contract, and every table it holds is a pure function of (graph, current
+// estimates, pair budget, options): no table depends on the tables or the
+// estimates that came before it, so two drivers that see the same estimates
+// hold equal tables whatever order the changes arrived in (RebuildCold is
+// the oracle tests cross-check that against).
 //
 // A Driver is not safe for concurrent use; both shells call it from a
 // single goroutine (the simulator's event loop, the broker's control loop).
@@ -80,10 +65,8 @@ type Driver struct {
 	pairs map[PairKey]*pairState
 	order []PairKey // registration order: deterministic build order
 
-	estVer     uint64
-	built      bool
-	nDirty     int
-	changedBuf [][2]int
+	estVer uint64 // version the clean pairs' tables were built from
+	nDirty int
 
 	// Rebuild outcome counters (diagnostics, exported via Stats).
 	epochs  uint64
@@ -104,9 +87,7 @@ func NewDriver(g *topology.Graph, deps Deps, opts DriverOptions) *Driver {
 func (d *Driver) Graph() *topology.Graph { return d.g }
 
 // SetGraph replaces the overlay graph (live topologies grow and shrink as
-// gossip reveals brokers). Every pair is marked dirty: warm starts remain
-// valid only when the node count is unchanged, and BuildTableIncremental
-// falls back to a cold build otherwise.
+// gossip reveals brokers). Every pair is marked dirty.
 func (d *Driver) SetGraph(g *topology.Graph) {
 	d.g = g
 	for _, key := range d.order {
@@ -131,7 +112,6 @@ func (d *Driver) SetPair(key PairKey, sub int, budget []time.Duration) {
 		}
 		p.sub = sub
 		p.budget = append(p.budget[:0], budget...)
-		p.table = nil // budgets changed: the old fixpoint is not a valid warm seed
 		if !p.dirty {
 			p.dirty = true
 			d.nDirty++
@@ -181,7 +161,7 @@ type DriverStats struct {
 	// Epochs is the number of Rebuild calls.
 	Epochs uint64
 	// Noops is how many of them were pointer-identity no-ops (version
-	// unchanged, or a new window with identical estimates).
+	// unchanged and no pair dirty).
 	Noops uint64
 	// TablesBuilt is the total number of per-pair fixpoint builds.
 	TablesBuilt uint64
@@ -195,56 +175,21 @@ func (d *Driver) Stats() DriverStats {
 }
 
 // Rebuild refreshes the route tables from the monitoring estimates current
-// at the Deps and reports whether any table may have changed. The refresh
-// is incremental: an unchanged estimate version (and no dirty pairs) is a
-// no-op reusing every prior table; otherwise the changed-link set confines
-// the work to affected pairs, warm-started from their previous fixpoints.
+// at the Deps and reports whether any table may have changed. An unchanged
+// estimate version with no dirty pair is a no-op reusing every prior table;
+// a changed version rebuilds every pair; otherwise only the dirty pairs are
+// rebuilt. Each build starts cold against one Snapshot shared by the call.
 func (d *Driver) Rebuild() bool {
 	d.epochs++
 	ver := d.deps.EstimateVersion()
-	var changed [][2]int
-	full := !d.built
-	if d.built {
-		if ver == d.estVer && d.nDirty == 0 {
-			d.noops++
-			return false // same estimates, same tables
-		}
-		if ver != d.estVer {
-			d.changedBuf = d.deps.AppendChangedLinks(d.estVer, ver, d.changedBuf[:0])
-			changed = d.changedBuf
-		}
-		d.estVer = ver
-		if len(changed) == 0 && d.nDirty == 0 {
-			d.noops++
-			return false // new window, identical estimates
-		}
-	} else {
-		d.estVer = ver
+	all := ver != d.estVer
+	if !all && d.nDirty == 0 {
+		d.noops++
+		return false
 	}
-	d.rebuild(changed, full)
-	d.built = true
-	return true
-}
-
-// rebuildJob is one dirty (topic, subscriber) pair queued for (re)building.
-type rebuildJob struct {
-	key    PairKey
-	sub    int
-	budget []time.Duration
-	prev   *Table
-}
-
-// rebuild (re)builds route tables against one shared snapshot of the
-// current estimates. With full set everything is dirty (the initial build
-// or a graph change); otherwise only explicitly dirty pairs and pairs the
-// changed links can influence are rebuilt, warm-started from their
-// previous tables.
-func (d *Driver) rebuild(changed [][2]int, full bool) {
-	g := d.g
-	n := g.N()
-	snap := NewSnapshot(g, d.deps.LinkEstimate, d.opts.Build.M)
-
-	var jobs []rebuildJob
+	d.estVer = ver
+	n := d.g.N()
+	snap := NewSnapshot(d.g, d.deps.LinkEstimate, d.opts.Build.M)
 	for _, key := range d.order {
 		p := d.pairs[key]
 		if len(p.budget) != n || p.sub < 0 || p.sub >= n {
@@ -253,85 +198,22 @@ func (d *Driver) rebuild(changed [][2]int, full bool) {
 			// pair stays dirty and builds on the next epoch after a SetPair.
 			continue
 		}
-		if !full && !p.dirty && p.table != nil &&
-			(changed == nil || !pairAffected(p.budget, p.sub, changed)) {
+		if !all && !p.dirty {
 			continue
 		}
-		prev := p.table
-		if prev != nil && len(prev.Params) != n {
-			prev = nil
-		}
-		jobs = append(jobs, rebuildJob{key: key, sub: p.sub, budget: p.budget, prev: prev})
-	}
-
-	results := make([]*Table, len(jobs))
-	if d.opts.Workers > 1 && len(jobs) > 1 {
-		workers := d.opts.Workers
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					j := jobs[i]
-					results[i] = BuildTableIncremental(g, snap, j.sub, j.budget, j.prev, d.opts.Build)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, j := range jobs {
-			results[i] = BuildTableIncremental(g, snap, j.sub, j.budget, j.prev, d.opts.Build)
-		}
-	}
-	for i, j := range jobs {
-		p := d.pairs[j.key]
-		p.table = results[i]
+		p.table = BuildFromSnapshot(d.g, snap, p.sub, p.budget, d.opts.Build)
+		d.rebuilt++
 		if p.dirty {
 			p.dirty = false
 			d.nDirty--
 		}
 	}
-	d.rebuilt += uint64(len(jobs))
+	return true
 }
 
-// pairAffected reports whether any changed link can influence the pair's
-// Algorithm-1 fixpoint. A changed link (u, v) is relevant in direction
-// u→v only when u could ever send (positive residual budget) and v could
-// ever be admitted (it is the subscriber, whose parameters are pinned, or
-// it has a positive budget — a node with budget <= 0 admits nobody and so
-// stays Unreachable regardless of link statistics). This test is sound —
-// it never skips a pair whose table could differ — while budgets are
-// static per pair, so it costs O(changed links) per pair and no rebuild.
-func pairAffected(budget []time.Duration, sub int, changed [][2]int) bool {
-	for _, l := range changed {
-		u, v := l[0], l[1]
-		if u >= len(budget) || v >= len(budget) || u < 0 || v < 0 {
-			return true // a link outside the graph the budgets were made for: assume relevant
-		}
-		if budget[u] > 0 && (v == sub || budget[v] > 0) {
-			return true
-		}
-		if budget[v] > 0 && (u == sub || budget[u] > 0) {
-			return true
-		}
-	}
-	return false
-}
-
-// RebuildCold re-runs Algorithm 1 from scratch for every registered pair —
-// the pre-incremental reference implementation, kept as the correctness
-// oracle: tests and benchmarks cross-check Rebuild's incremental tables
-// (and measure its speedup) against this path. Each pair pays for its own
-// link-stats snapshot and a cold Jacobi start.
+// RebuildCold re-runs Algorithm 1 for every registered pair whatever the
+// estimate version, each pair paying for its own link-stats snapshot. It is
+// the oracle tests and benchmarks cross-check Rebuild's tables against.
 func (d *Driver) RebuildCold() {
 	n := d.g.N()
 	for _, key := range d.order {
@@ -346,5 +228,4 @@ func (d *Driver) RebuildCold() {
 		}
 	}
 	d.estVer = d.deps.EstimateVersion()
-	d.built = true
 }

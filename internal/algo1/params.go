@@ -1,15 +1,15 @@
 // Package algo1 is the transport-agnostic DCRD control plane: the paper's
 // <d, r> parameter algebra (Eq. 1–3), the Theorem-1 sending-list ordering,
-// the per-pair Algorithm-1 fixpoint (BuildTable / BuildTableIncremental
-// with warm-started rebuilds) and the epoch-scheduling Driver that turns a
-// stream of link-estimate changes into fresh route tables.
+// the per-pair Algorithm-1 fixpoint (BuildTable / BuildFromSnapshot) and
+// the Driver that keeps a pair set's route tables a pure function of the
+// current link estimates.
 //
 // Like internal/algo2 for the data plane, this package never touches a
 // clock, a socket or a simulator event queue. Everything environmental is
 // injected through the small Deps interface: the discrete-event simulator
 // (internal/core.Router) feeds it netsim's monitoring windows, and the
-// live broker (internal/broker) feeds it gossiped link-state deltas
-// measured from real TCP traffic. Both shells run the exact same fixpoint
+// live broker (internal/broker) feeds it gossiped link state measured
+// from real TCP traffic. Both shells run the exact same fixpoint
 // code, which is what lets a differential test demand bit-identical tables
 // from both.
 package algo1

@@ -1,6 +1,7 @@
 package algo1
 
 import (
+	mrand "math/rand"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -9,84 +10,14 @@ import (
 	"repro/internal/topology"
 )
 
-// TestWarmStartEqualsColdBuildProperty is the incremental engine's
-// correctness pin: for random topologies, random link statistics and
-// random per-epoch perturbations (links degrading, recovering, dying and
-// resurrecting), a warm-started BuildTableIncremental must produce exactly
-// the table a cold build produces — params, lists and budgets bit-for-bit.
-func TestWarmStartEqualsColdBuildProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 0x7eb))
-		n := 10 + int(seed%8) // 10..17 nodes
-		degree := 3 + int(seed%3)
-		if n*degree%2 != 0 {
-			degree--
-		}
-		g, err := topology.RandomRegular(n, degree, topology.DefaultDelayRange(), rng)
-		if err != nil {
-			return false
-		}
-		// Per-directed-link gamma, evolved across epochs; alpha stays the
-		// propagation delay (monitoring measures it exactly).
-		gamma := make([]float64, n*n)
-		for u := 0; u < n; u++ {
-			for _, e := range g.Neighbors(u) {
-				gamma[u*n+e.To] = 0.5 + rng.Float64()*0.5
-			}
-		}
-		stats := func(u, v int) (time.Duration, float64, bool) {
-			d, ok := g.LinkDelay(u, v)
-			if !ok {
-				return 0, 0, false
-			}
-			return d, gamma[u*n+v], true
-		}
-		sub := int(seed>>8) % n
-		tree := topology.Dijkstra(g, 0, nil)
-		budget := BudgetsFromTree(tree, 3*tree.Dist[sub]+10*time.Millisecond)
-		opts := BuildOptions{M: 1 + int(seed>>16)%2}
-
-		prev := BuildTable(g, stats, sub, budget, opts)
-		for epoch := 0; epoch < 6; epoch++ {
-			// Perturb ~30% of links; occasionally kill or resurrect one —
-			// the hard case for incremental rebuilds, because a dead link
-			// coming back can newly enter sending lists it never appeared in.
-			for u := 0; u < n; u++ {
-				for _, e := range g.Neighbors(u) {
-					switch {
-					case rng.Float64() < 0.05:
-						gamma[u*n+e.To] = 0
-					case rng.Float64() < 0.30:
-						gamma[u*n+e.To] = 0.4 + rng.Float64()*0.6
-					}
-				}
-			}
-			cold := BuildTable(g, stats, sub, budget, opts)
-			warm := BuildTableIncremental(g, NewSnapshot(g, stats, opts.M), sub, budget, prev, opts)
-			if !cold.Equal(warm) {
-				t.Logf("seed %d epoch %d: warm table diverged from cold", seed, epoch)
-				return false
-			}
-			prev = warm
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // fakeMonitor is a deterministic Deps for driver tests: a versioned table
-// of per-directed-link estimates whose mutations are logged as changed-link
-// sets, exactly the shape a gossip-fed link-state database presents.
+// of per-directed-link estimates, the shape a gossip-fed link-state
+// database presents.
 type fakeMonitor struct {
 	n       int
 	alpha   []time.Duration
 	gamma   []float64
 	version uint64
-	// changes[i] is the set of links that changed when the version moved
-	// from i to i+1.
-	changes [][][2]int
 }
 
 func newFakeMonitor(g *topology.Graph) *fakeMonitor {
@@ -101,36 +32,16 @@ func newFakeMonitor(g *topology.Graph) *fakeMonitor {
 	return m
 }
 
-// set mutates one directed link's estimate under a fresh version.
+// set mutates the listed directed links' estimates under a fresh version.
 func (m *fakeMonitor) set(links [][2]int, mut func(u, v int) (time.Duration, float64)) {
-	var delta [][2]int
 	for _, l := range links {
 		u, v := l[0], l[1]
-		a, gm := mut(u, v)
-		if m.alpha[u*m.n+v] == a && m.gamma[u*m.n+v] == gm {
-			continue
-		}
-		m.alpha[u*m.n+v], m.gamma[u*m.n+v] = a, gm
-		delta = append(delta, l)
+		m.alpha[u*m.n+v], m.gamma[u*m.n+v] = mut(u, v)
 	}
-	m.changes = append(m.changes, delta)
-	m.version++
-}
-
-// bumpQuiet advances the version without changing any estimate.
-func (m *fakeMonitor) bumpQuiet() {
-	m.changes = append(m.changes, nil)
 	m.version++
 }
 
 func (m *fakeMonitor) EstimateVersion() uint64 { return m.version }
-
-func (m *fakeMonitor) AppendChangedLinks(from, to uint64, dst [][2]int) [][2]int {
-	for v := from; v < to; v++ {
-		dst = append(dst, m.changes[v-1]...)
-	}
-	return dst
-}
 
 func (m *fakeMonitor) LinkEstimate(u, v int) (time.Duration, float64, bool) {
 	gm := m.gamma[u*m.n+v]
@@ -140,89 +51,177 @@ func (m *fakeMonitor) LinkEstimate(u, v int) (time.Duration, float64, bool) {
 	return m.alpha[u*m.n+v], gm, true
 }
 
-// TestDriverWarmEqualsColdProperty is the gossip-shaped mirror of the
-// warm==cold pin: a Driver stepped through random delta streams (sparse
-// per-epoch changed-link sets, quiet version bumps, dead and resurrected
-// links — exactly what the live broker's link-state gossip feeds it) must
-// hold, at every epoch, tables bitwise identical to a from-scratch
-// RebuildCold of the same estimates.
-func TestDriverWarmEqualsColdProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 0x11ec))
-		n := 8 + int(seed%9) // 8..16 nodes
-		degree := 3 + int(seed%2)
-		if n*degree%2 != 0 {
-			degree--
-		}
-		g, err := topology.RandomRegular(n, degree, topology.DefaultDelayRange(), rng)
-		if err != nil {
-			return false
-		}
-		mon := newFakeMonitor(g)
-		opts := DriverOptions{Build: BuildOptions{M: 1 + int(seed>>4)%2}}
-		if seed>>6&1 == 1 {
-			opts.Workers = 3
-		}
-		inc := NewDriver(g, mon, opts)
-		cold := NewDriver(g, mon, opts)
-		deadline := 400 * time.Millisecond
-		budget := make([]time.Duration, n)
-		for x := range budget {
-			budget[x] = deadline
-		}
-		for p := 0; p < 3; p++ {
-			sub := int(seed>>(8+4*p)) % n
-			key := PairKey{Topic: int32(p), Sub: int32(sub)}
-			inc.SetPair(key, sub, budget)
-			cold.SetPair(key, sub, budget)
-		}
+// deltaStream is a seeded gossip-shaped scenario: a random regular graph,
+// three registered pairs and a stream of sparse per-epoch estimate deltas
+// (quiet epochs, degraded, dead and resurrected links) — what the live
+// broker's link-state gossip feeds a Driver.
+type deltaStream struct {
+	g     *topology.Graph
+	mon   *fakeMonitor
+	opts  DriverOptions
+	rng   *rand.Rand
+	links [][2]int
+	pairs []PairKey
+}
 
-		var links [][2]int
-		for u := 0; u < n; u++ {
-			for _, e := range g.Neighbors(u) {
-				links = append(links, [2]int{u, e.To})
-			}
+func newDeltaStream(t *testing.T, seed uint64) *deltaStream {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, 0x11ec))
+	n := 8 + int(seed%9) // 8..16 nodes
+	degree := 3 + int(seed%2)
+	if n*degree%2 != 0 {
+		degree--
+	}
+	g, err := topology.RandomRegular(n, degree, topology.DefaultDelayRange(), rng)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	s := &deltaStream{
+		g:    g,
+		mon:  newFakeMonitor(g),
+		opts: DriverOptions{Build: BuildOptions{M: 1 + int(seed>>4)%2}},
+		rng:  rng,
+	}
+	for p := 0; p < 3; p++ {
+		s.pairs = append(s.pairs, PairKey{Topic: int32(p), Sub: int32(int(seed>>(8+4*p)) % n)})
+	}
+	for u := 0; u < n; u++ {
+		for _, e := range g.Neighbors(u) {
+			s.links = append(s.links, [2]int{u, e.To})
 		}
-		for epoch := 0; epoch < 8; epoch++ {
-			switch {
-			case epoch > 0 && rng.Float64() < 0.25:
-				mon.bumpQuiet()
-			default:
-				// Mutate a sparse random subset — a gossip delta.
-				k := 1 + rng.IntN(4)
-				var batch [][2]int
-				for i := 0; i < k; i++ {
-					batch = append(batch, links[rng.IntN(len(links))])
-				}
-				mon.set(batch, func(u, v int) (time.Duration, float64) {
-					if rng.Float64() < 0.1 {
-						return 0, 0 // link death
-					}
-					return time.Duration(1+rng.IntN(30)) * time.Millisecond, 0.4 + rng.Float64()*0.6
-				})
-			}
-			inc.Rebuild()
-			cold.RebuildCold()
-			ok := true
-			inc.Pairs(func(key PairKey, got *Table) {
-				if !got.Equal(cold.Table(key)) {
-					t.Logf("seed %d epoch %d pair %+v: incremental diverged from cold", seed, epoch, key)
-					ok = false
-				}
-			})
-			if !ok {
+	}
+	return s
+}
+
+// driver returns a fresh Driver over the stream's monitor with every pair
+// registered under a uniform 400 ms budget.
+func (s *deltaStream) driver() *Driver {
+	d := NewDriver(s.g, s.mon, s.opts)
+	budget := make([]time.Duration, s.g.N())
+	for x := range budget {
+		budget[x] = 400 * time.Millisecond
+	}
+	for _, key := range s.pairs {
+		d.SetPair(key, int(key.Sub), budget)
+	}
+	return d
+}
+
+// step applies one epoch's delta to the monitor: nothing at all on a quiet
+// epoch, otherwise a sparse random subset of links re-estimated, each with
+// a one-in-ten chance of dying (a dead link drawn again later resurrects).
+func (s *deltaStream) step(epoch int) {
+	if epoch > 0 && s.rng.Float64() < 0.25 {
+		return
+	}
+	k := 1 + s.rng.IntN(4)
+	var batch [][2]int
+	for i := 0; i < k; i++ {
+		batch = append(batch, s.links[s.rng.IntN(len(s.links))])
+	}
+	s.mon.set(batch, func(u, v int) (time.Duration, float64) {
+		if s.rng.Float64() < 0.1 {
+			return 0, 0 // link death
+		}
+		return time.Duration(1+s.rng.IntN(30)) * time.Millisecond, 0.4 + s.rng.Float64()*0.6
+	})
+}
+
+// sameTables reports whether got holds, for every pair, a table Equal to
+// want's, logging each divergence.
+func sameTables(t *testing.T, what string, got, want *Driver) bool {
+	t.Helper()
+	ok := true
+	want.Pairs(func(key PairKey, tab *Table) {
+		if !got.Table(key).Equal(tab) {
+			t.Logf("%s: pair %+v diverged", what, key)
+			ok = false
+		}
+	})
+	return ok
+}
+
+// pinnedSeeds replay delta streams on which a driver that seeds a build
+// from the pair's previous table ends up holding a table other than the
+// cold oracle's: the seed, and the epoch the divergence shows at.
+var pinnedSeeds = []struct {
+	seed  uint64
+	epoch int
+}{
+	{1790828196317381846, 3},
+	{90767271602995916, 2},
+	{9831135285338678077, 5},
+	{2466859211378385858, 2},
+	{13044967003124706590, 3},
+	{5604888490516756034, 2},
+}
+
+// checkSeeds runs a seeded property over the pinned regression seeds, a
+// fixed quick.Check sample (so tier-1 is deterministic) and one seed taken
+// from the clock and logged, so fresh inputs keep arriving.
+func checkSeeds(t *testing.T, property func(seed uint64, epochs int) bool) {
+	t.Helper()
+	for _, c := range pinnedSeeds {
+		if !property(c.seed, c.epoch+1) {
+			t.Errorf("pinned seed %d failed", c.seed)
+		}
+	}
+	cfg := &quick.Config{MaxCount: 30, Rand: mrand.New(mrand.NewSource(0x11ec))}
+	if err := quick.Check(func(seed uint64) bool { return property(seed, 8) }, cfg); err != nil {
+		t.Error(err)
+	}
+	seed := uint64(time.Now().UnixNano())
+	t.Logf("clock seed %d", seed)
+	if !property(seed, 8) {
+		t.Errorf("clock seed %d failed", seed)
+	}
+}
+
+// TestDriverEqualsColdProperty: a Driver stepped through a random delta
+// stream must hold, at every epoch, tables bitwise identical to the oracle's
+// from-scratch RebuildCold of the same estimates.
+func TestDriverEqualsColdProperty(t *testing.T) {
+	checkSeeds(t, func(seed uint64, epochs int) bool {
+		s := newDeltaStream(t, seed)
+		drv, oracle := s.driver(), s.driver()
+		for epoch := 0; epoch < epochs; epoch++ {
+			s.step(epoch)
+			drv.Rebuild()
+			oracle.RebuildCold()
+			if !sameTables(t, "driver vs oracle", drv, oracle) {
+				t.Logf("seed %d epoch %d", seed, epoch)
 				return false
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
-// TestDriverQuietEpochIsNoOp pins the pointer-identity fast path: a version
-// bump that changes no estimate must reuse every prior table object.
+// TestDriverHistoryIndependence pins that a table is a function of the
+// current estimates alone: driver A rebuilds after every delta of a stream,
+// driver B first looks once the stream has ended, and both must hold the
+// oracle's tables. Converged link-state databases giving identical tables
+// overlay-wide (DESIGN.md §15) is this property.
+func TestDriverHistoryIndependence(t *testing.T) {
+	checkSeeds(t, func(seed uint64, epochs int) bool {
+		s := newDeltaStream(t, seed)
+		a, b, oracle := s.driver(), s.driver(), s.driver()
+		for epoch := 0; epoch < epochs; epoch++ {
+			s.step(epoch)
+			a.Rebuild()
+		}
+		b.Rebuild()
+		oracle.RebuildCold()
+		if !sameTables(t, "every-delta vs final-only", a, b) || !sameTables(t, "every-delta vs oracle", a, oracle) {
+			t.Logf("seed %d after %d epochs", seed, epochs)
+			return false
+		}
+		return true
+	})
+}
+
+// TestDriverQuietEpochIsNoOp pins the pointer-identity fast path: a Rebuild
+// under an unchanged estimate version must reuse every prior table object.
 func TestDriverQuietEpochIsNoOp(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 0))
 	g, err := topology.RandomRegular(12, 4, topology.DefaultDelayRange(), rng)
@@ -244,12 +243,10 @@ func TestDriverQuietEpochIsNoOp(t *testing.T) {
 	before := make(map[PairKey]*Table)
 	d.Pairs(func(key PairKey, tab *Table) { before[key] = tab })
 
-	// Same version, then a quiet bump: both must be no-ops.
 	for i := 0; i < 2; i++ {
 		if d.Rebuild() {
 			t.Fatalf("step %d: Rebuild reported work without estimate changes", i)
 		}
-		mon.bumpQuiet()
 	}
 	d.Pairs(func(key PairKey, tab *Table) {
 		if before[key] != tab {
@@ -261,8 +258,7 @@ func TestDriverQuietEpochIsNoOp(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 noops of 3 epochs", st)
 	}
 
-	// A real delta must rebuild only affected pairs but leave the version
-	// consistent.
+	// A delta must rebuild and leave the version consistent.
 	mon.set([][2]int{{0, g.Neighbors(0)[0].To}}, func(u, v int) (time.Duration, float64) {
 		return 25 * time.Millisecond, 0.5
 	})

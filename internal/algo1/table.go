@@ -29,7 +29,7 @@ type Table struct {
 	// Negative budgets mean the node cannot possibly meet the deadline.
 	Budget []time.Duration
 	// Rounds is how many synchronous recomputation rounds the distributed
-	// fixpoint took to stabilize.
+	// fixpoint ran: until it stabilized, cycled, or hit the MaxRounds cap.
 	Rounds int
 }
 
@@ -128,11 +128,9 @@ type BuildOptions struct {
 
 // Snapshot is the dense (from, to) table of per-link m-transmission
 // statistics shared by every (publisher, subscriber) pair of one rebuild
-// epoch. BuildTable used to materialize this O(n²) table per pair; the
-// rebuild engine now builds one Snapshot per epoch and hands it to every
-// BuildTableIncremental call, which is the dominant saving of the
-// incremental path (the table itself is identical for every pair — link
-// statistics do not depend on the subscriber).
+// epoch: link statistics do not depend on the subscriber, so Driver.Rebuild
+// materializes this O(n²) table once and hands it to every
+// BuildFromSnapshot call instead of once per pair.
 type Snapshot struct {
 	n int
 	m int
@@ -181,32 +179,19 @@ func (s *Snapshot) Link(u, v int) DR { return s.linkDR[u*s.n+v] }
 // budget[x] must hold D_XS = D_PS − SP(P, x) (see Workload.PublisherTree);
 // the subscriber's own parameters are pinned at <0, 1>.
 func BuildTable(g *topology.Graph, stats LinkStatsFunc, sub int, budget []time.Duration, opts BuildOptions) *Table {
-	m := opts.M
-	if m < 1 {
-		m = 1
-	}
-	return BuildTableIncremental(g, NewSnapshot(g, stats, m), sub, budget, nil, opts)
+	return BuildFromSnapshot(g, NewSnapshot(g, stats, opts.M), sub, budget, opts)
 }
 
-// BuildTableIncremental is BuildTable against a shared per-epoch Snapshot,
-// optionally warm-started from the previous epoch's table for the same
-// pair. Warm starting seeds the Jacobi iteration with the previous
-// fixpoint: when the estimates feeding this pair did not effectively move,
-// the very first round reproduces the seed exactly and the build finishes
-// in one round instead of ~network-diameter plus refinement. When the
-// first round does change a parameter, the iteration restarts from
-// all-Unreachable and replays the cold trajectory instead of continuing
-// from the stale seed. The restart is what keeps warm and cold builds
-// bitwise identical: the float dynamics are not monotone (near-ties can
-// flicker by 1 ns forever and more than one attractor can exist), so a
-// trajectory continued from an interior point may settle somewhere a
-// from-scratch build never visits. Cold builds are the canonical output —
-// a deterministic function of (snapshot, budgets, options) alone — and the
-// rebuild property tests cross-check that warm-started tables always
-// equal them exactly. Only Rounds (diagnostics) may differ.
+// BuildFromSnapshot is BuildTable against a shared per-epoch Snapshot. The
+// iteration always starts from all-Unreachable and is cut at the MaxRounds
+// cap, which makes the table a deterministic function of (snapshot, budgets,
+// options) alone. That is the canonical output: the float dynamics are not
+// monotone (near-ties can creep or flicker by 1 ns for longer than the cap
+// and more than one attractor can exist), so a trajectory started anywhere
+// else may settle on a table this one never visits.
 //
 // The snapshot must have been built with the same M as opts.
-func BuildTableIncremental(g *topology.Graph, snap *Snapshot, sub int, budget []time.Duration, prev *Table, opts BuildOptions) *Table {
+func BuildFromSnapshot(g *topology.Graph, snap *Snapshot, sub int, budget []time.Duration, opts BuildOptions) *Table {
 	n := g.N()
 	if opts.M < 1 {
 		opts.M = 1
@@ -248,13 +233,16 @@ func BuildTableIncremental(g *topology.Graph, snap *Snapshot, sub int, budget []
 	cur := make([]DR, n)
 	next := make([]DR, n)
 	prev2 := make([]DR, n)
+	for x := range cur {
+		cur[x] = Unreachable()
+	}
+	cur[sub] = DR{D: 0, R: 1}
 	// changedPrev/changedNow list the nodes whose parameters changed in
 	// the previous/current round; needs[x] is a round-stamped mark that x
 	// must be recomputed this round.
 	changedPrev := make([]int, 0, n)
 	changedNow := make([]int, 0, n)
 	needs := make([]int, n)
-	roundNo := 0
 	idsBuf := make([][]int, n)
 	viaBuf := make([][]DR, n)
 	for x := 0; x < n; x++ {
@@ -264,20 +252,19 @@ func BuildTableIncremental(g *topology.Graph, snap *Snapshot, sub int, budget []
 		idsBuf[x] = make([]int, 0, g.Degree(x))
 		viaBuf[x] = make([]DR, 0, g.Degree(x))
 	}
-	// round runs one Jacobi round. With all set it recomputes every node
-	// (seed rounds, where no previous changed set exists); otherwise only
-	// nodes marked in needs. Returns whether any parameter changed and
-	// whether the state provably entered a period-2 cycle.
-	round := func(all bool) (anyChanged, cycle bool) {
-		roundNo++
+	// round runs one Jacobi round: the first recomputes every node (no
+	// previous changed set exists), later ones only the nodes marked in
+	// needs. Returns whether any parameter changed and whether the state
+	// provably entered a period-2 cycle.
+	round := func() (anyChanged, cycle bool) {
 		t.Rounds++
 		copy(next, cur)
 		changedNow = changedNow[:0]
 		// cycle stays true only while every change this round returns to
 		// the value of two rounds ago (prev2 is valid from round 2 on).
-		cycle = roundNo >= 2
+		cycle = t.Rounds >= 2
 		for x := 0; x < n; x++ {
-			if x == sub || (!all && needs[x] != roundNo) {
+			if x == sub || (t.Rounds > 1 && needs[x] != t.Rounds) {
 				continue
 			}
 			ids, via := admit(g, x, cur, snap.linkDR, n, t.Budget[x], idsBuf[x][:0], viaBuf[x][:0])
@@ -305,7 +292,7 @@ func BuildTableIncremental(g *topology.Graph, snap *Snapshot, sub int, budget []
 		// Mark next round's work: neighbors of every changed node.
 		for _, x := range changedNow {
 			for _, e := range g.Neighbors(x) {
-				needs[e.To] = roundNo + 1
+				needs[e.To] = t.Rounds + 1
 			}
 		}
 		prev2, cur, next = cur, next, prev2
@@ -313,42 +300,19 @@ func BuildTableIncremental(g *topology.Graph, snap *Snapshot, sub int, budget []
 		return anyChanged, cycle
 	}
 
-	warmHit := false
-	if prev != nil && len(prev.Params) == n {
-		// Warm fast path: one full round from the previous fixpoint. No
-		// change means prev is still the exact fixpoint under the new
-		// snapshot, and the round's list buffers already hold the lists a
-		// cold build would derive from it.
-		copy(cur, prev.Params)
-		cur[sub] = DR{D: 0, R: 1}
-		changed, _ := round(true)
-		warmHit = !changed
-	}
-	if !warmHit {
-		for x := range cur {
-			cur[x] = Unreachable()
+	for t.Rounds < opts.MaxRounds {
+		changed, cycle := round()
+		if !changed {
+			break
 		}
-		cur[sub] = DR{D: 0, R: 1}
-		roundNo = 0
-		changedPrev = changedPrev[:0]
-		for x := range needs {
-			needs[x] = 0
-		}
-		for r := 0; r < opts.MaxRounds; r++ {
-			changed, cycle := round(r == 0)
-			if !changed {
-				break
+		if cycle {
+			// The trajectory now alternates between cur and prev2 until the
+			// cap; keep the phase the cap would emit. An extra round lands on
+			// the other phase when the distance to the cap is odd.
+			if (opts.MaxRounds-t.Rounds)%2 == 1 {
+				round()
 			}
-			if cycle {
-				// The trajectory now alternates between cur and prev2
-				// until the cap; keep the phase the cap would emit. An
-				// extra round lands on the other phase when the distance
-				// to the cap is odd.
-				if (opts.MaxRounds-r-1)%2 == 1 {
-					round(false)
-				}
-				break
-			}
+			break
 		}
 	}
 	t.Params = cur
@@ -390,9 +354,8 @@ func (t *Table) List(x int) []int { return t.Lists[x] }
 
 // Equal compares everything a table exposes to forwarding: the <d, r>
 // parameters, the ordered sending lists and the budgets. Rounds is
-// diagnostics (warm starts converge faster by design) and is excluded.
-// The incremental-rebuild cross-checks (warm vs cold, sim vs live) demand
-// this bitwise equality.
+// diagnostics and is excluded. The cross-checks (driver vs oracle, sim vs
+// live) demand this bitwise equality.
 func (t *Table) Equal(o *Table) bool {
 	if t == nil || o == nil {
 		return t == o

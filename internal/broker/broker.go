@@ -102,7 +102,7 @@ type Config struct {
 	// per link, so mixed overlays with legacy brokers need no configuration.
 	DisableLinkState bool
 	// LinkStateInterval paces the control loop: local estimates are
-	// re-flooded, idle links probed and route tables incrementally rebuilt
+	// re-flooded, idle links probed and route tables rebuilt
 	// at this cadence (default 100ms). This is the live monitoring window —
 	// a link death re-sorts sending lists within roughly one interval.
 	LinkStateInterval time.Duration

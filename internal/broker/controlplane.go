@@ -12,11 +12,10 @@ package broker
 // epoch; receivers drop stale replays, re-flood newer records to their
 // other capable neighbors, and fold the records into a link-state database
 // (linkStateDB) that implements algo1.Deps. Applying a flood diffs it
-// against the origin's previous record set, so the deltas handed to the
-// incremental rebuild driver are 1:1 with what the gossip actually
-// changed: a quiet control epoch is a pointer-identity no-op, and a link
-// death re-sorts the affected Theorem-1 sending lists within about one
-// LinkStateInterval of the flood arriving.
+// against the origin's previous record set, so the estimate version moves
+// only when the gossip actually changed something: a quiet control epoch
+// is a pointer-identity no-op, and a link death re-sorts the Theorem-1
+// sending lists within about one LinkStateInterval of the flood arriving.
 //
 // The resulting sending lists are published copy-on-write (ctrlSnapshot)
 // and consulted by the data plane ahead of the advert-plane lists
@@ -42,10 +41,6 @@ const (
 	// encoding already caps overlay IDs at 16 bits; enforcing the same
 	// bound here keeps a hostile flood from inflating the overlay graph.
 	ctrlMaxNodeID = 1 << 16
-	// ctrlChangeLogMax bounds the database's per-version changed-link log;
-	// a driver further behind than the log is handed every known link
-	// instead (a sound over-approximation).
-	ctrlChangeLogMax = 4096
 	// ctrlAlphaTolerance / ctrlGammaTolerance are how far a local estimate
 	// must move before the broker re-floods it (mirrors advertTolerance).
 	ctrlAlphaTolerance = time.Millisecond
@@ -71,9 +66,9 @@ type ctrlOrigin struct {
 }
 
 // linkStateDB is the gossip-fed monitoring substrate: each origin's latest
-// record set under its flood epoch, plus a bounded changed-link log keyed
-// by an estimate version that advances only when an applied flood actually
-// moved an estimate. It implements algo1.Deps for the rebuild driver.
+// record set under its flood epoch, plus an estimate version that advances
+// only when an applied flood actually moved an estimate. It implements
+// algo1.Deps for the rebuild driver.
 //
 // A crashed broker's own records linger (nobody floods on its behalf), but
 // they are harmless: reaching it requires a live inbound link, and its
@@ -86,10 +81,6 @@ type linkStateDB struct {
 	// topoVer advances when the link or node SET changes (not mere
 	// estimate drift) — the driver's graph must be rebuilt then.
 	topoVer uint64
-	// changes[k] holds the links whose estimates changed moving the
-	// version from logBase+k to logBase+k+1.
-	changes [][][2]int
-	logBase uint64
 }
 
 func newLinkStateDB() *linkStateDB {
@@ -118,38 +109,26 @@ func (db *linkStateDB) apply(origin int32, epoch uint64, recs []wire.LinkRecord)
 		}
 		next[r.To] = ctrlLink{alpha: r.Alpha, gamma: r.Gamma}
 	}
-	var delta [][2]int
-	topo := false
+	// The link set changed iff a link appeared or the count differs (then
+	// one vanished); an estimate moved iff that, or a surviving link differs.
+	topo := len(next) != len(os.links)
 	for to, nl := range next {
 		ol, had := os.links[to]
 		if !had {
 			topo = true
-		}
-		if !had || ol != nl {
-			delta = append(delta, [2]int{int(origin), int(to)})
-		}
-	}
-	for to := range os.links {
-		if _, still := next[to]; !still {
-			delta = append(delta, [2]int{int(origin), int(to)})
-			topo = true
+		} else if ol != nl {
+			changed = true
 		}
 	}
 	os.links = next
 	if topo {
 		db.topoVer++
+		changed = true
 	}
-	if len(delta) == 0 {
-		return true, false
+	if changed {
+		db.version++
 	}
-	db.changes = append(db.changes, delta)
-	db.version++
-	if len(db.changes) > ctrlChangeLogMax {
-		drop := len(db.changes) - ctrlChangeLogMax
-		db.changes = append(db.changes[:0], db.changes[drop:]...)
-		db.logBase += uint64(drop)
-	}
-	return true, true
+	return true, changed
 }
 
 // topoVersion returns the current topology-change counter.
@@ -194,26 +173,6 @@ func (db *linkStateDB) EstimateVersion() uint64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.version
-}
-
-// AppendChangedLinks implements algo1.Deps: the logged deltas for versions
-// (from, to], or every known link when the log no longer reaches back far
-// enough.
-func (db *linkStateDB) AppendChangedLinks(from, to uint64, dst [][2]int) [][2]int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if from < db.logBase {
-		for o, os := range db.origins {
-			for t := range os.links {
-				dst = append(dst, [2]int{int(o), int(t)})
-			}
-		}
-		return dst
-	}
-	for v := from; v < to && v-db.logBase < uint64(len(db.changes)); v++ {
-		dst = append(dst, db.changes[v-db.logBase]...)
-	}
-	return dst
 }
 
 // LinkEstimate implements algo1.Deps: the directed estimate the link's
@@ -280,7 +239,7 @@ type ctrlSnapshot struct {
 }
 
 // ctrlPlane owns the broker's gossip-fed control state: the link-state
-// database, the incremental rebuild driver and the flood/probe schedule.
+// database, the rebuild driver and the flood/probe schedule.
 // All mutable non-atomic state is confined to the control goroutine
 // (loop); other goroutines interact through the database's own lock, the
 // kick channel and the atomic counters.
@@ -298,7 +257,9 @@ type ctrlPlane struct {
 	sinceFlood int
 	topoVer    uint64 // db.topoVer the driver's graph currently reflects
 	probeTok   uint64 // probe token allocator (control goroutine only)
-	budgets    map[time.Duration][]time.Duration
+	// budgets caches the uniform deadline vector of every deadline a
+	// current pair uses (syncPairs).
+	budgets map[time.Duration][]time.Duration
 
 	// Counters mirrored for Stats/statsReply (read from any goroutine).
 	sent, recv, stale          atomic.Uint64
@@ -310,12 +271,11 @@ type ctrlPlane struct {
 func newCtrlPlane(b *Broker) *ctrlPlane {
 	db := newLinkStateDB()
 	return &ctrlPlane{
-		b:       b,
-		db:      db,
-		drv:     algo1.NewDriver(topology.NewGraph(0), db, algo1.DriverOptions{Build: algo1.BuildOptions{M: b.cfg.M}}),
-		kick:    make(chan struct{}, 1),
-		epoch:   uint64(time.Now().UnixNano()),
-		budgets: make(map[time.Duration][]time.Duration),
+		b:     b,
+		db:    db,
+		drv:   algo1.NewDriver(topology.NewGraph(0), db, algo1.DriverOptions{Build: algo1.BuildOptions{M: b.cfg.M}}),
+		kick:  make(chan struct{}, 1),
+		epoch: uint64(time.Now().UnixNano()),
 	}
 }
 
@@ -350,7 +310,7 @@ func (c *ctrlPlane) loop() {
 
 // step runs one control epoch: re-measure and maybe flood the local
 // links, probe idle ones, sync the pair set from the advert plane, rebuild
-// incrementally and publish the new sending lists.
+// and publish the new sending lists.
 func (c *ctrlPlane) step() {
 	now := time.Now()
 	c.floodLocal(now)
@@ -568,26 +528,31 @@ func (c *ctrlPlane) syncPairs() {
 	if tv := c.db.topoVersion(); tv != c.topoVer {
 		c.drv.SetGraph(c.db.buildGraph())
 		c.topoVer = tv
-		clear(c.budgets)
 	}
 	n := c.drv.Graph().N()
 	current := make(map[algo1.PairKey]bool, len(specs))
+	// Deadlines arrive from outside (client subscriptions, neighbor adverts),
+	// so the vector cache keeps only those a current pair uses.
+	budgets := make(map[time.Duration][]time.Duration, len(c.budgets))
 	for _, sp := range specs {
 		if int(sp.key.sub) >= n || sp.key.sub < 0 {
 			continue // subscriber not in the gossiped topology yet
 		}
-		budget := c.budgets[sp.deadline]
-		if len(budget) != n {
-			budget = make([]time.Duration, n)
-			for i := range budget {
-				budget[i] = sp.deadline
+		budget := budgets[sp.deadline]
+		if budget == nil {
+			if budget = c.budgets[sp.deadline]; len(budget) != n {
+				budget = make([]time.Duration, n)
+				for i := range budget {
+					budget[i] = sp.deadline
+				}
 			}
-			c.budgets[sp.deadline] = budget
+			budgets[sp.deadline] = budget
 		}
 		key := algo1.PairKey{Topic: sp.key.topic, Sub: sp.key.sub}
 		c.drv.SetPair(key, int(sp.key.sub), budget)
 		current[key] = true
 	}
+	c.budgets = budgets
 	var gone []algo1.PairKey
 	c.drv.Pairs(func(key algo1.PairKey, _ *algo1.Table) {
 		if !current[key] {

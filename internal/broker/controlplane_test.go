@@ -14,7 +14,7 @@ import (
 
 // TestLinkStateDBStaleEpochReplay pins the database's replay defense:
 // per-origin epochs are strictly increasing, so replayed or reordered
-// floods are dropped without touching estimates or the change log.
+// floods are dropped without touching estimates or the version.
 func TestLinkStateDBStaleEpochReplay(t *testing.T) {
 	db := newLinkStateDB()
 	recs := []wire.LinkRecord{{To: 1, Alpha: 10 * time.Millisecond, Gamma: 0.9}}
@@ -41,38 +41,115 @@ func TestLinkStateDBStaleEpochReplay(t *testing.T) {
 	}
 }
 
-// TestLinkStateDBChangeLog pins the delta bookkeeping: the changed-link
-// sets handed to the driver are exactly the links each applied flood
-// moved, and a driver that fell behind the bounded log gets every known
-// link instead (sound over-approximation, never a silent miss).
-func TestLinkStateDBChangeLog(t *testing.T) {
-	db := newLinkStateDB()
-	db.apply(0, 1, []wire.LinkRecord{
-		{To: 1, Alpha: 10 * time.Millisecond, Gamma: 0.9},
-		{To: 2, Alpha: 20 * time.Millisecond, Gamma: 0.8},
-	})
-	v1 := db.EstimateVersion()
-	// Second flood moves only link 0->2 and withdraws nothing.
-	db.apply(0, 2, []wire.LinkRecord{
-		{To: 1, Alpha: 10 * time.Millisecond, Gamma: 0.9},
-		{To: 2, Alpha: 25 * time.Millisecond, Gamma: 0.8},
-	})
-	got := db.AppendChangedLinks(v1, db.EstimateVersion(), nil)
-	if len(got) != 1 || got[0] != [2]int{0, 2} {
-		t.Fatalf("delta = %v, want exactly [[0 2]]", got)
+// TestLinkStateArrivalOrderIndependence is DESIGN.md §15's claim: brokers
+// whose link-state databases received the same floods hold identical
+// estimates and bitwise-equal tables, whatever order the floods arrived in
+// (each origin's own epochs stay ordered, as one TCP stream keeps them) and
+// however often the broker rebuilt along the way.
+func TestLinkStateArrivalOrderIndependence(t *testing.T) {
+	for seed := uint64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewPCG(0x0a11, seed))
+		g, err := topology.RandomRegular(10, 4, topology.DefaultDelayRange(), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// floods[o] is origin o's flood sequence in epoch order; a link
+		// left out of a record set is withdrawn and may return later.
+		floods := make([][]*wire.LinkState, g.N())
+		for o := range floods {
+			for epoch := uint64(1); epoch <= 5; epoch++ {
+				ls := &wire.LinkState{Origin: int32(o), Epoch: epoch}
+				for _, e := range g.Neighbors(o) {
+					if rng.Float64() < 0.15 {
+						continue
+					}
+					ls.Links = append(ls.Links, wire.LinkRecord{
+						To:    int32(e.To),
+						Alpha: time.Duration(1+rng.IntN(30)) * time.Millisecond,
+						Gamma: 0.4 + rng.Float64()*0.6,
+					})
+				}
+				floods[o] = append(floods[o], ls)
+			}
+		}
+		// feed applies every flood in an order drawn from stream, rebuilding
+		// after each one when eager and once at the end either way.
+		feed := func(stream uint64, eager bool) (*linkStateDB, *algo1.Driver) {
+			order := rand.New(rand.NewPCG(seed, stream))
+			db := newLinkStateDB()
+			drv := algo1.NewDriver(g, db, algo1.DriverOptions{Build: algo1.BuildOptions{M: 2}})
+			budget := make([]time.Duration, g.N())
+			for i := range budget {
+				budget[i] = 400 * time.Millisecond
+			}
+			for p := 0; p < 3; p++ {
+				sub := (int(seed) + 3*p) % g.N()
+				drv.SetPair(algo1.PairKey{Topic: int32(p), Sub: int32(sub)}, sub, budget)
+			}
+			next := make([]int, g.N())
+			for left := g.N() * 5; left > 0; left-- {
+				o := order.IntN(g.N())
+				for next[o] == len(floods[o]) {
+					o = (o + 1) % g.N()
+				}
+				ls := floods[o][next[o]]
+				next[o]++
+				db.apply(ls.Origin, ls.Epoch, ls.Links)
+				if eager {
+					drv.Rebuild()
+				}
+			}
+			drv.Rebuild()
+			return db, drv
+		}
+		dbA, drvA := feed(1, true)
+		dbB, drvB := feed(2, false)
+		for u := 0; u < g.N(); u++ {
+			for _, e := range g.Neighbors(u) {
+				aA, gA, okA := dbA.LinkEstimate(u, e.To)
+				aB, gB, okB := dbB.LinkEstimate(u, e.To)
+				if aA != aB || gA != gB || okA != okB {
+					t.Fatalf("seed %d link %d->%d: databases disagree after the same floods", seed, u, e.To)
+				}
+			}
+		}
+		drvA.Pairs(func(key algo1.PairKey, want *algo1.Table) {
+			if got := drvB.Table(key); want == nil || !got.Equal(want) {
+				t.Fatalf("seed %d pair %+v: equal databases, different tables", seed, key)
+			}
+		})
 	}
-	// A withdrawal (gamma 0) is a change too.
-	db.apply(0, 3, []wire.LinkRecord{{To: 1, Alpha: 10 * time.Millisecond, Gamma: 0.9}})
-	got = db.AppendChangedLinks(v1, db.EstimateVersion(), nil)
-	if len(got) != 2 {
-		t.Fatalf("delta after withdrawal = %v, want two links", got)
+}
+
+// TestSyncPairsDropsUnusedBudgets pins the bound on the per-deadline budget
+// cache: deadlines come from clients and neighbors, so after 100 pairs with
+// distinct deadlines have come and gone on a stable topology the cache holds
+// exactly the vectors the live pairs use.
+func TestSyncPairsDropsUnusedBudgets(t *testing.T) {
+	b := &Broker{cfg: Config{}.withDefaults(), routes: make(map[routeKey]*routeState)}
+	c := newCtrlPlane(b)
+	rec := func(to int32) []wire.LinkRecord {
+		return []wire.LinkRecord{{To: to, Alpha: time.Millisecond, Gamma: 1}}
 	}
-	// Falling behind the log base returns every known link.
-	db.logBase = db.EstimateVersion()
-	db.changes = nil
-	got = db.AppendChangedLinks(0, db.EstimateVersion(), nil)
-	if len(got) != 1 { // only 0->1 survives the withdrawal
-		t.Fatalf("overflow fallback = %v, want all known links", got)
+	c.db.apply(0, 1, rec(1))
+	c.db.apply(1, 1, rec(0))
+
+	b.routes[routeKey{topic: 1, sub: 0}] = &routeState{deadline: time.Second}
+	b.routes[routeKey{topic: 2, sub: 1}] = &routeState{deadline: 2 * time.Second}
+	churn := routeKey{topic: 3, sub: 1}
+	for i := 1; i <= 100; i++ {
+		b.routes[churn] = &routeState{deadline: time.Duration(i) * time.Millisecond}
+		c.syncPairs()
+		delete(b.routes, churn)
+		c.syncPairs()
+	}
+	if len(c.budgets) != 2 {
+		t.Fatalf("budget cache holds %d vectors for 2 live deadlines", len(c.budgets))
+	}
+	live := 0
+	c.drv.Pairs(func(algo1.PairKey, *algo1.Table) { live++ })
+	if live != 2 {
+		t.Fatalf("driver holds %d pairs, want 2", live)
 	}
 }
 
@@ -84,9 +161,6 @@ type simDeps struct {
 }
 
 func (s *simDeps) EstimateVersion() uint64 { return s.net.EstimateVersion(s.now) }
-func (s *simDeps) AppendChangedLinks(from, to uint64, dst [][2]int) [][2]int {
-	return s.net.AppendChangedEstimates(from, to, dst)
-}
 func (s *simDeps) LinkEstimate(u, v int) (time.Duration, float64, bool) {
 	est, ok := s.net.EstimateAt(u, v, s.now)
 	if !ok {
@@ -98,9 +172,8 @@ func (s *simDeps) LinkEstimate(u, v int) (time.Duration, float64, bool) {
 // TestControlPlaneDifferential is the sim-vs-live fidelity pin for the
 // control plane: the same monitoring estimates, delivered once directly
 // (the DES shell's substrate) and once through LinkState gossip into a
-// linkStateDB (the live shell's substrate), must drive the shared
-// incremental engine to bitwise-identical route tables at every
-// monitoring window. The gossip payloads are built exactly as a live
+// linkStateDB (the live shell's substrate), must drive the shared engine
+// to bitwise-identical route tables at every monitoring window. The gossip payloads are built exactly as a live
 // broker builds them — per-origin record sets under increasing epochs.
 func TestControlPlaneDifferential(t *testing.T) {
 	for scenario := uint64(0); scenario < 4; scenario++ {

@@ -2,7 +2,7 @@
 // the discrete-event simulator: it is the simulation shell around the two
 // shared, transport-agnostic engines. Algorithm 1 — the recursive <d, r>
 // parameters (Eq. 1–3), the Theorem-1 sending-list ordering and the
-// incremental route-table rebuild driver — lives in internal/algo1;
+// route-table rebuild driver — lives in internal/algo1;
 // Algorithm 2 — dynamic forwarding with hop-by-hop ACKs, per-neighbor
 // failover and upstream rerouting — lives in internal/algo2. Router
 // adapts both onto netsim's links, monitoring windows and simulated clock.
@@ -41,13 +41,6 @@ type RouterOptions struct {
 	// the delivery guarantee even across windows where no live path
 	// exists, at the cost of buffering and late deliveries.
 	Persistent bool
-	// RebuildWorkers bounds the worker pool Rebuild fans independent
-	// (publisher, subscriber) pair builds out over. Values <= 1 build
-	// serially — the default, so routers nested under an already-parallel
-	// harness (experiment.Run's cell pool) do not oversubscribe the CPUs.
-	// Output is deterministic either way: pair builds are pure and results
-	// are installed in index order.
-	RebuildWorkers int
 	// Build tunes the Algorithm-1 table fixpoint.
 	Build algo1.BuildOptions
 	// Tracer, when non-nil, receives a per-packet routing timeline
@@ -92,8 +85,8 @@ type Router struct {
 	col  *metrics.Collector
 	opts RouterOptions
 	// drv owns the Algorithm-1 route tables for every (publisher,
-	// subscriber) pair and the incremental-rebuild state; simMonitor feeds
-	// it netsim's deterministic monitoring estimates.
+	// subscriber) pair; simMonitor feeds it netsim's deterministic
+	// monitoring estimates.
 	drv    *algo1.Driver
 	shells []*nodeShell
 	pools  *algo2.Pools[des.EventID]
@@ -111,10 +104,6 @@ func (m simMonitor) EstimateVersion() uint64 {
 	return m.net.EstimateVersion(m.net.Sim().Now())
 }
 
-func (m simMonitor) AppendChangedLinks(from, to uint64, dst [][2]int) [][2]int {
-	return m.net.AppendChangedEstimates(from, to, dst)
-}
-
 func (m simMonitor) LinkEstimate(u, v int) (time.Duration, float64, bool) {
 	est, ok := m.net.EstimateAt(u, v, m.net.Sim().Now())
 	return est.Alpha, est.Gamma, ok
@@ -130,10 +119,7 @@ func NewRouter(net *netsim.Network, w *pubsub.Workload, col *metrics.Collector, 
 		work:   w,
 		col:    col,
 		opts:   opts,
-		drv: algo1.NewDriver(g, simMonitor{net: net}, algo1.DriverOptions{
-			Build:   opts.Build,
-			Workers: opts.RebuildWorkers,
-		}),
+		drv:    algo1.NewDriver(g, simMonitor{net: net}, algo1.DriverOptions{Build: opts.Build}),
 		shells: make([]*nodeShell, g.N()),
 		pools:  algo2.NewPools[des.EventID](g.N()),
 	}
@@ -173,18 +159,13 @@ func (r *Router) Name() string { return "DCRD" }
 // (netsim.Config.MonitorSamples > 0); with exact estimates the fixpoint is
 // time-invariant and one build at construction suffices.
 //
-// The refresh is incremental: when the estimate version is unchanged the
-// call is a no-op reusing every prior table; otherwise one shared link-stats
-// Snapshot is built for the epoch, pairs untouched by any changed link keep
-// their tables, and dirty pairs are warm-started from their previous
-// fixpoint. The resulting tables are exactly the tables a from-scratch
-// build would produce (see RebuildCold, which tests cross-check against).
+// When the estimate version is unchanged the call is a no-op reusing every
+// prior table; otherwise every pair is rebuilt against one link-stats
+// Snapshot shared by the epoch (see algo1.Driver.Rebuild).
 func (r *Router) Rebuild() { r.drv.Rebuild() }
 
-// RebuildCold re-runs Algorithm 1 from scratch for every (publisher,
-// subscriber) pair — the pre-incremental reference implementation, kept as
-// the correctness oracle: tests and benchmarks cross-check Rebuild's
-// incremental tables (and measure its speedup) against this path.
+// RebuildCold rebuilds every pair against its own snapshot: the oracle
+// tests and benchmarks cross-check Rebuild's tables against.
 func (r *Router) RebuildCold() { r.drv.RebuildCold() }
 
 // Table exposes the route table for a (topic, subscriber) pair, mainly for

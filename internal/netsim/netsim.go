@@ -463,31 +463,13 @@ func (n *Network) sampledGamma(idx int, window uint64) float64 {
 // EstimateVersion returns the version of the monitoring estimates in force
 // at virtual time t: EstimateAt returns identical values for any two times
 // with the same version. With exact estimates (MonitorSamples == 0) the
-// version is always zero — estimates never change. Route-table rebuild
-// engines key their caches on this.
+// version is always zero — estimates never change. The route-table
+// rebuild driver keys its no-op on this.
 func (n *Network) EstimateVersion(t time.Duration) uint64 {
 	if n.cfg.MonitorSamples == 0 {
 		return 0
 	}
 	return uint64(t / n.cfg.MonitorInterval)
-}
-
-// AppendChangedEstimates appends to dst the endpoints of every link whose
-// monitored estimate differs between estimate versions a and b, and returns
-// the extended slice. Equal versions — and exact monitoring, which has a
-// single version — yield no changes. The cost is two probe resamples per
-// link; callers cache per-epoch results (a route-table rebuild does this
-// once per monitoring window, not per pair).
-func (n *Network) AppendChangedEstimates(a, b uint64, dst [][2]int) [][2]int {
-	if n.cfg.MonitorSamples == 0 || a == b {
-		return dst
-	}
-	for i, l := range n.g.Links() {
-		if n.sampledGamma(i, a) != n.sampledGamma(i, b) {
-			dst = append(dst, [2]int{l.From, l.To})
-		}
-	}
-	return dst
 }
 
 // allocDelivery takes a delivery from the pool.

@@ -295,9 +295,8 @@ type LinkRecord struct {
 // strictly increasing (receivers drop stale or replayed floods and re-flood
 // newer ones to their other capable neighbors), so every broker converges
 // on each origin's latest record set regardless of gossip path. Receivers
-// diff the records against the origin's previous set — the deltas are
-// exactly the changed-link sets the incremental Algorithm-1 rebuild keys
-// on, so a flood that changes nothing costs no table work.
+// diff the records against the origin's previous set, so a flood that
+// changes nothing costs no table work.
 type LinkState struct {
 	Origin int32
 	Epoch  uint64

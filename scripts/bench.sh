@@ -7,7 +7,9 @@
 #   scripts/bench.sh -check         # diff a fresh run against the baseline
 #
 # Runs five suites with -benchmem, 5 counts each:
-#   - Approach*, Figure2 and Rebuild (root package): full-simulation cost
+#   - Approach*, Figure2 and Rebuild (root package): full-simulation cost;
+#     Rebuild is one monitoring-epoch table refresh, cold (per-pair
+#     snapshot oracle) vs driver (one shared snapshot)
 #   - BenchmarkWire* (internal/wire): codec encode/decode cost and allocs
 #   - BenchmarkBroker*, BenchmarkEdge* and BenchmarkRelayChain
 #     (internal/broker): live-broker forwarding and fan-out throughput
@@ -16,10 +18,10 @@
 #     multiplexed delivery), and the relay-plane aggregation benchmark
 #     (bytes/packet, frames/packet across a 3-broker chain, legacy framing
 #     vs negotiated DATA_BATCH/ACK_BATCH)
-#   - BenchmarkControlPlaneEpoch (internal/algo1): one control-loop epoch
-#     through the shared incremental rebuild engine — the quiet
-#     (pointer-identity no-op) and dirty (sparse gossip delta, warm-start)
-#     paths the live broker's LinkStateInterval tick takes
+#   - BenchmarkControlPlaneEpoch (internal/algo1): one Driver.Rebuild as the
+#     live broker's LinkStateInterval tick calls it — quiet (estimate
+#     version unchanged, a pointer-identity no-op) and dirty (a sparse
+#     gossip delta moved the version, every pair rebuilds)
 #   - BenchmarkWalAppend (internal/wal): one group-committed custody append
 #     to the crash-durable WAL (ns per durable record, appends/fsync
 #     amortization); the broker suite's BenchmarkBrokerForwardDurable
@@ -35,10 +37,10 @@
 # any latency percentile (p50_ms, p99_ms, ...) rose — by more than 20%
 # against the baseline's "current" section. The sharded scaling curve's
 # 8-core point, the edge aggregation benchmark, the relay-chain batch
-# benchmark, the control-plane epoch paths and the WAL benchmarks
-# (BenchmarkWalAppend, BenchmarkBrokerForwardDurable) are additionally
-# pinned with -require, so renaming or dropping any of them cannot
-# silently un-gate it.
+# benchmark, the shared-snapshot rebuild, the control-plane epoch paths and
+# the WAL benchmarks (BenchmarkWalAppend, BenchmarkBrokerForwardDurable) are
+# additionally pinned with -require, so renaming or dropping any of them
+# cannot silently un-gate it.
 # (BenchmarkBrokerSharded sets GOMAXPROCS inside its cpus=N sub-runs rather
 # than via -cpu: benchjson strips go's -N name suffix when merging counts,
 # so -cpu variants would collapse into one entry.)
@@ -67,7 +69,7 @@ run_all() {
 
 if [ "${1:-}" = "-check" ]; then
 	run_all | go run ./cmd/benchjson -check BENCH_baseline.json \
-		-require 'BenchmarkBrokerSharded/cpus=8,BenchmarkEdgeFanout/mux,BenchmarkRelayChain/batch,BenchmarkControlPlaneEpoch/quiet,BenchmarkControlPlaneEpoch/dirty,BenchmarkWalAppend,BenchmarkBrokerForwardDurable'
+		-require 'BenchmarkBrokerSharded/cpus=8,BenchmarkEdgeFanout/mux,BenchmarkRelayChain/batch,BenchmarkRebuild/driver/n=160,BenchmarkControlPlaneEpoch/quiet,BenchmarkControlPlaneEpoch/dirty,BenchmarkWalAppend,BenchmarkBrokerForwardDurable'
 	exit
 fi
 
