@@ -90,46 +90,57 @@ func benchOverlay(b *testing.B, n int, links [][2]int) *overlay {
 // in-memory net.Pipe instead of TCP, isolating the data-plane software cost
 // (codec, queues, dispatch) from kernel socket buffering. Clients still
 // connect over localhost TCP.
-func benchPipeOverlay(b *testing.B) *overlay {
-	b.Helper()
-	listeners := make([]net.Listener, 2)
-	addrs := make([]string, 2)
+func benchPipeOverlay(b *testing.B) *overlay { return pipeChain(b, 2) }
+
+// pipeChain boots the line overlay 0 — 1 — … — n-1 with every overlay link a
+// net.Pipe (see benchPipeOverlay) and benchmark tuning on every broker.
+func pipeChain(tb testing.TB, n int) *overlay {
+	tb.Helper()
+	listeners := make([]net.Listener, n)
+	o := &overlay{addrs: make([]string, n)}
 	for i := range listeners {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
+		o.addrs[i] = ln.Addr().String()
 	}
-	b0, err := New(benchConfig(0, addrs[0], map[int]string{1: addrs[1]}))
-	if err != nil {
-		b.Fatal(err)
+	for i := 0; i < n; i++ {
+		neighbors := make(map[int]string)
+		if i > 0 {
+			neighbors[i-1] = o.addrs[i-1]
+		}
+		if i < n-1 {
+			neighbors[i+1] = o.addrs[i+1]
+		}
+		bk, err := New(benchConfig(i, o.addrs[i], neighbors))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		o.brokers = append(o.brokers, bk)
 	}
-	b1, err := New(benchConfig(1, addrs[1], map[int]string{0: addrs[0]}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Attach the pipe ends before starting, so broker 0's dial loop sees the
-	// link already connected and never dials the TCP address.
-	p0, p1 := net.Pipe()
-	nc0 := b0.neighbor(1)
-	nc0.attach(b0, p0)
-	nc1 := b1.neighbor(0)
-	nc1.attach(b1, p1)
-	b0.goTracked(func() { b0.readNeighbor(nc0, p0) })
-	b1.goTracked(func() { b1.readNeighbor(nc1, p1) })
-	if err := b0.StartListener(listeners[0]); err != nil {
-		b.Fatal(err)
-	}
-	if err := b1.StartListener(listeners[1]); err != nil {
-		b.Fatal(err)
-	}
-	o := &overlay{brokers: []*Broker{b0, b1}, addrs: addrs}
-	b.Cleanup(func() {
-		_ = b0.Close()
-		_ = b1.Close()
+	tb.Cleanup(func() {
+		for _, bk := range o.brokers {
+			_ = bk.Close()
+		}
 	})
+	// Attach the pipe ends before starting, so the lower broker's dial loop
+	// sees the link already connected and never dials the TCP address.
+	for i := 0; i+1 < n; i++ {
+		lo, hi := o.brokers[i], o.brokers[i+1]
+		pLo, pHi := net.Pipe()
+		ncLo, ncHi := lo.neighbor(i+1), hi.neighbor(i)
+		ncLo.attach(lo, pLo)
+		ncHi.attach(hi, pHi)
+		lo.goTracked(func() { lo.readNeighbor(ncLo, pLo) })
+		hi.goTracked(func() { hi.readNeighbor(ncHi, pHi) })
+	}
+	for i, bk := range o.brokers {
+		if err := bk.StartListener(listeners[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	return o
 }
 

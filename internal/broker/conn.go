@@ -268,12 +268,14 @@ type neighborConn struct {
 	// probeTok/probeAt track the single outstanding PROBE on this link,
 	// gammaAt is the last time any delivery signal (ACK outcome or probe
 	// echo) updated gamma, and dataSend maps sampled outbound frame IDs to
-	// send times for ACK-derived alpha samples.
+	// send times for ACK-derived alpha samples (dataStaleAt: the earliest
+	// instant one of them can be a second old, see noteDataSend).
 	peerLinkState atomic.Bool
 	probeTok      uint64
 	probeAt       time.Time
 	gammaAt       time.Time
 	dataSend      map[uint64]time.Time
+	dataStaleAt   time.Time
 }
 
 // Link-estimate tuning.
@@ -525,7 +527,10 @@ func (nc *neighborConn) probeReply(token uint64, now time.Time) bool {
 // hop-by-hop ACK can feed alpha — real traffic measures the link, probes
 // and pings only fill the gaps. Sampling is bounded: at most
 // maxDataSamples frames are tracked, with entries older than a second
-// (ACKs lost) evicted to keep sampling alive on lossy links.
+// (ACKs lost) evicted to keep sampling alive on lossy links. A busy link
+// keeps the map full, so the sweep runs only once something can have aged
+// out: dataStaleAt is when the oldest entry the last sweep kept turns a
+// second old, and every entry added since is younger than that one.
 func (nc *neighborConn) noteDataSend(frameID uint64, now time.Time) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
@@ -533,12 +538,19 @@ func (nc *neighborConn) noteDataSend(frameID uint64, now time.Time) {
 		nc.dataSend = make(map[uint64]time.Time, maxDataSamples)
 	}
 	if len(nc.dataSend) >= maxDataSamples {
+		if !now.After(nc.dataStaleAt) {
+			return
+		}
+		oldest := now
 		for id, at := range nc.dataSend {
 			if now.Sub(at) > time.Second {
 				delete(nc.dataSend, id)
+			} else if at.Before(oldest) {
+				oldest = at
 			}
 		}
 		if len(nc.dataSend) >= maxDataSamples {
+			nc.dataStaleAt = oldest.Add(time.Second)
 			return
 		}
 	}

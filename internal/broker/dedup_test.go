@@ -109,6 +109,44 @@ func TestPingMapBounded(t *testing.T) {
 	}
 }
 
+// TestDataSendSweepOnlyWhenSomethingCanBeStale pins noteDataSend's bound:
+// a full map of fresh samples is walked once, not on every later send, and
+// a sample whose ACK never came is still evicted a second after it was
+// taken. The walk has no effect of its own to observe, so the test plants
+// an old entry behind the map's back and watches whether a send removes it.
+func TestDataSendSweepOnlyWhenSomethingCanBeStale(t *testing.T) {
+	nc := newNeighborConn(1)
+	t0 := time.Now()
+	for i := uint64(0); i < maxDataSamples; i++ {
+		nc.noteDataSend(i, t0.Add(time.Duration(i)*time.Millisecond))
+	}
+	has := func(id uint64) bool {
+		nc.mu.Lock()
+		defer nc.mu.Unlock()
+		_, ok := nc.dataSend[id]
+		return ok
+	}
+	at := t0.Add(100 * time.Millisecond)
+	nc.noteDataSend(1000, at) // full and all fresh: one walk, nothing evicted, not sampled
+	if has(1000) || !nc.dataStaleAt.Equal(t0.Add(time.Second)) {
+		t.Fatalf("full fresh map: sampled=%v staleAt=%v, want false and t0+1s", has(1000), nc.dataStaleAt.Sub(t0))
+	}
+	nc.mu.Lock()
+	nc.dataSend[7] = t0.Add(-time.Hour)
+	nc.mu.Unlock()
+	nc.noteDataSend(1001, at.Add(time.Millisecond))
+	if !has(7) || has(1001) {
+		t.Error("a send before dataStaleAt walked the map again")
+	}
+	// Past t0+1s entry 0 (and the planted one) are stale: both go, the rest
+	// stay, and the freed room takes the new sample.
+	nc.noteDataSend(1002, t0.Add(time.Second+time.Microsecond))
+	if has(0) || has(7) || !has(1) || !has(1002) {
+		t.Errorf("after the bound: has(0)=%v has(7)=%v has(1)=%v has(1002)=%v, want false false true true",
+			has(0), has(7), has(1), has(1002))
+	}
+}
+
 func TestUnsubscribeWithdrawsRoute(t *testing.T) {
 	o := newOverlay(t, 2, [][2]int{{0, 1}})
 	sub, err := Dial(o.addrs[1], "sub")

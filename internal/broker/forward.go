@@ -77,13 +77,15 @@ func (b *Broker) publishLocal(m *wire.Publish) {
 	}
 	b.shardOf(pid).enqueue(it)
 
-	b.deliver(deliverTo, &wire.Deliver{
-		Topic:       m.Topic,
-		PacketID:    pid,
-		Source:      int32(b.cfg.ID),
-		PublishedAt: now,
-		Payload:     payload,
-	})
+	if deliverTo != nil {
+		b.deliver(deliverTo, &wire.Deliver{
+			Topic:       m.Topic,
+			PacketID:    pid,
+			Source:      int32(b.cfg.ID),
+			PublishedAt: now,
+			Payload:     payload,
+		})
+	}
 }
 
 // handleData routes a data frame from a neighbor (Algorithm 2, receive

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"encoding/binary"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -334,5 +336,74 @@ func TestMuxDeliverPooledDeliveryAllocs(t *testing.T) {
 	deliverOnce() // warm the pool
 	if allocs := testing.AllocsPerRun(200, deliverOnce); allocs != 0 {
 		t.Errorf("session delivery allocates %.1f objects/packet in steady state, want 0", allocs)
+	}
+}
+
+// relayAllocCeiling is the heap-object budget per packet delivered across
+// the 3-broker pipe chain of TestRelayChainAllocBudget, both clients
+// included: about 10 % over the 15.4–15.9 measured at GOMAXPROCS 2 and 8
+// (22.7–23.1 before the shards kept their own ACK deadlines).
+const relayAllocCeiling = 17.5
+
+// TestRelayChainAllocBudget holds the relay path to an allocation budget a
+// CI run can check: publisher → 0 → 1 → 2 → subscriber over net.Pipe links
+// (which never negotiate the batch framing: one Data and one Ack frame per
+// hop), every heap object the process allocates while the packets cross
+// counted against the packets delivered.
+func TestRelayChainAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a quarter of what is put back")
+	}
+	const topic, packets, window = int32(1), 4000, 256
+	o := pipeChain(t, 3)
+	sub, err := Dial(o.addrs[2], "budget-sub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if err := sub.Subscribe(topic, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waitForRoute(t, o.brokers[0], topic, 2)
+	pub, err := Dial(o.addrs[0], "budget-pub")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	payload := make([]byte, 64)
+
+	push := func(n int) {
+		t.Helper()
+		stall := time.After(30 * time.Second)
+		for sent, received := 0, 0; received < n; {
+			for ; sent < n && sent-received < window; sent++ {
+				if err := pub.Publish(topic, 10*time.Second, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case <-sub.Receive():
+				received++
+			case <-stall:
+				t.Fatalf("stalled at %d/%d deliveries", received, n)
+			}
+		}
+	}
+	push(packets / 2) // pools, queues, heaps and maps reach their working size
+	// A collection empties the sync.Pools and the refills would be counted.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	push(packets)
+	runtime.ReadMemStats(&after)
+	perPkt := float64(after.Mallocs-before.Mallocs) / packets
+	t.Logf("%.2f heap objects per delivered packet (ceiling %.1f)", perPkt, relayAllocCeiling)
+	if perPkt > relayAllocCeiling {
+		t.Errorf("%.2f heap objects per delivered packet, ceiling %.1f. The budget is ≈ 15: "+
+			"publisher client 1 (the Publish message); origin broker 2 (payload copy, payload boxed for the engine); "+
+			"each of the two relay hops 3 (payload copy, payload boxed, the 8-byte Ack); "+
+			"subscriber's broker 1 (the Deliver message); subscriber client 5 (compat wire.Read: header, body, "+
+			"reader, message, payload); writer-flush deadlines ≈ 0.2. An ACK timer that is a runtime timer again "+
+			"costs 3 more per hop", perPkt, relayAllocCeiling)
 	}
 }

@@ -1,11 +1,13 @@
 package broker
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/algo2"
+	"repro/internal/des"
 	"repro/internal/wire"
 )
 
@@ -17,13 +19,14 @@ import (
 // frame ID and packet ID, failover copies carry the same packet ID, and
 // hop-by-hop ACKs are routed back by the shard bits their frame ID carries.
 //
-// Producers (connection read loops, client publishes, firing ACK timers)
-// never touch engine state directly: they enqueue items into the owning
-// shard's bounded mailbox and the shard goroutine applies them in arrival
-// order. A full mailbox blocks the producer — the same backpressure the old
-// single broker mutex applied, minus the cross-shard convoying. Cold-path
-// control operations that need a coherent per-shard view (stats snapshots)
-// rendezvous with every shard through Broker.barrier.
+// Producers (connection read loops, client publishes) never touch engine
+// state directly: they enqueue items into the owning shard's bounded
+// mailbox and the shard goroutine applies them in arrival order. A full
+// mailbox blocks the producer — the same backpressure the old single broker
+// mutex applied, minus the cross-shard convoying. ACK and retry deadlines
+// sit in a timer queue the shard goroutine owns and runs between mailbox
+// batches (turn). Cold-path control operations that need a coherent
+// per-shard view (stats snapshots) rendezvous through Broker.barrier.
 
 const (
 	// shardMailboxLen bounds each shard's work queue. Producers block when
@@ -33,6 +36,8 @@ const (
 	// maxShards caps Config.Shards: frame IDs carry the owning shard in 6
 	// bits (see shardShell.NextFrameID).
 	maxShards = 64
+	// noWake is shard.wakeAt while the wake timer is not armed.
+	noWake = time.Duration(math.MaxInt64)
 )
 
 // shardItem kinds.
@@ -40,7 +45,6 @@ const (
 	itemPublish = iota
 	itemData
 	itemAck
-	itemTimer
 	itemBarrier
 	// itemSeedDelivered preloads the shard's delivery-dedup set with a
 	// packet ID the WAL recorded as already delivered locally, so durable
@@ -65,7 +69,6 @@ type shardItem struct {
 	payload  []byte
 	dests    []int
 	path     []int
-	timer    *ackTimer
 	bfn      func(*shard)
 	acks     chan struct{}
 }
@@ -76,7 +79,6 @@ func getItem() *shardItem { return shardItemPool.Get().(*shardItem) }
 
 func putItem(it *shardItem) {
 	it.payload = nil
-	it.timer = nil
 	it.bfn = nil
 	it.acks = nil
 	it.dests = it.dests[:0]
@@ -85,18 +87,23 @@ func putItem(it *shardItem) {
 }
 
 // shard is one single-threaded slice of the broker's data plane: its own
-// Algorithm-2 engine, object pools, delivery dedup and flush queue, fed by
-// one bounded mailbox and drained by one goroutine. Fields below the
-// mailbox are owned by that goroutine exclusively.
+// Algorithm-2 engine, object pools, timer queue, delivery dedup and flush
+// queue, fed by one bounded mailbox and drained by one goroutine. Fields
+// below the mailbox are owned by that goroutine exclusively.
 type shard struct {
 	b   *Broker
 	idx int
 	mb  chan *shardItem
 
-	eng   *algo2.Engine[*ackTimer]
-	pools *algo2.Pools[*ackTimer]
+	eng   *algo2.Engine[des.EventID]
+	pools *algo2.Pools[des.EventID]
 
-	// Shard-goroutine-only state.
+	// Shard-goroutine-only state. timers holds the engine's deadlines by
+	// engine-clock time (the des heap only: the wall clock says what is due);
+	// wake, the shard's one runtime timer, ends an idle sleep at wakeAt.
+	timers         *des.Simulator
+	wake           *time.Timer
+	wakeAt         time.Duration
 	deliveredSeen  *dedup
 	pendingDeliver []queuedDeliver
 	nextFrameID    uint64
@@ -125,9 +132,13 @@ func newShard(b *Broker, idx int, frameSeed uint64) *shard {
 		// tiny deployments with many shards keep a useful horizon.
 		deliveredSeen: newDedup(max(1<<16/b.cfg.Shards, 1<<12)),
 		nextFrameID:   frameSeed & (1<<42 - 1),
+		timers:        des.New(0),
+		wake:          time.NewTimer(time.Hour),
+		wakeAt:        noWake,
 	}
-	s.pools = algo2.NewPools[*ackTimer](nodesHint)
-	s.eng = algo2.NewEngine[*ackTimer](algo2.Config{
+	s.wake.Stop()
+	s.pools = algo2.NewPools[des.EventID](nodesHint)
+	s.eng = algo2.NewEngine[des.EventID](algo2.Config{
 		NodeID:      b.cfg.ID,
 		M:           b.cfg.M,
 		AckGuard:    b.cfg.AckGuard,
@@ -152,42 +163,65 @@ func (s *shard) enqueue(it *shardItem) bool {
 	}
 }
 
-// run is the shard goroutine: apply mailbox items in order until Close,
-// then drain. The done check is prioritized so a busy mailbox cannot
-// starve shutdown.
+// run is the shard goroutine: one turn after another until Close, then
+// drain. It blocks (on mailbox, wake timer and done together) only after a
+// turn that found neither a queued item nor a due timer.
 func (s *shard) run() {
-	for {
-		select {
-		case <-s.b.done:
-			s.drain()
-			return
-		default:
+	for !s.b.stopping() {
+		now := shardShell{s}.Now()
+		if s.turn(now) {
+			continue
+		}
+		// Sleep to the earliest live deadline. On a healthy link each one is
+		// cancelled by its ACK and the next is later, so the timer is re-armed
+		// only for a deadline earlier than the one it waits for; an early
+		// wake, or a tick left in wake.C by a re-arm, costs one empty turn.
+		if at, ok := s.timers.NextAt(); ok && at < s.wakeAt {
+			s.wake.Reset(at - now)
+			s.wakeAt = at
 		}
 		select {
 		case it := <-s.mb:
 			s.handle(it)
+		case <-s.wake.C:
+			s.wakeAt = noWake
 		case <-s.b.done:
-			s.drain()
-			return
 		}
 	}
+	s.drain()
+}
+
+// turn applies the items that were queued when the caller read now, in
+// arrival order, and only then runs the timers that were due at now: an
+// ACK that reached the mailbox before its flight's deadline cancels the
+// timeout, however late the shard gets to either. The batch is therefore
+// everything queued (the mailbox bounds it): under a smaller cap a due
+// timeout overtakes an ACK queued beyond it. Reports whether it did work.
+func (s *shard) turn(now time.Duration) bool {
+	n := len(s.mb)
+	for i := 0; i < n; i++ {
+		s.handle(<-s.mb)
+	}
+	fired := false
+	for s.timers.StepUntil(now) {
+		fired = true
+	}
+	s.flushPending()
+	return n > 0 || fired
 }
 
 // drain empties whatever is left of the mailbox without doing protocol work
 // — matching the pre-shard behavior of entry points bailing once b.closed —
 // while still completing barrier handshakes so no control caller hangs.
-// It then shuts the engine down, returning every pooled object, so
-// PoolsLive is final before Close proceeds to writer-pipeline teardown.
+// It then shuts the engine down, returning every pooled object (and
+// cancelling every deadline), so PoolsLive is final before Close proceeds
+// to writer-pipeline teardown.
 func (s *shard) drain() {
-	for {
-		select {
-		case it := <-s.mb:
-			s.discard(it)
-		default:
-			s.eng.Shutdown()
-			return
-		}
+	for len(s.mb) > 0 {
+		s.discard(<-s.mb)
 	}
+	s.eng.Shutdown()
+	s.wake.Stop()
 }
 
 // discard recycles an item without applying it, completing any barrier
@@ -244,10 +278,6 @@ func (s *shard) handle(it *shardItem) {
 				nc.ackSucceeded()
 			}
 		}
-	case itemTimer:
-		if at := it.timer; !at.stopped {
-			at.fn(at.arg)
-		}
 	case itemBarrier:
 		if it.bfn != nil {
 			it.bfn(s)
@@ -261,9 +291,9 @@ func (s *shard) handle(it *shardItem) {
 }
 
 // flushPending sends the deliveries the engine queued during the last item
-// to their subscriber clients. Client sends are bounded enqueues into the
-// per-connection writer pipelines, so flushing on the shard goroutine
-// cannot wedge it behind a stalled subscriber.
+// or timer callback to their subscriber clients. Client sends are bounded
+// enqueues into the per-connection writer pipelines, so flushing on the
+// shard goroutine cannot wedge it behind a stalled subscriber.
 func (s *shard) flushPending() {
 	if len(s.pendingDeliver) == 0 {
 		return
@@ -291,31 +321,6 @@ func (s *shard) stats(onShard bool) wire.ShardStat {
 	return st
 }
 
-// ackTimer is the live timer handle behind the engine's Deps.AfterFunc. A
-// firing wall-clock timer only enqueues a mailbox item; the callback runs
-// on the shard goroutine, which is also the only place stopped is read or
-// written. CancelTimer (an engine call, hence shard goroutine) therefore
-// needs no lock, and cancellation is reliable by construction: a cancelled
-// timer's item is recycled unexecuted, so the callback can never observe a
-// recycled pooled argument.
-type ackTimer struct {
-	s       *shard
-	t       *time.Timer
-	stopped bool
-	fn      func(any)
-	arg     any
-}
-
-// fire runs on the wall-clock timer goroutine: hand the timer to its shard
-// and get off the hot path. During shutdown the item is discarded; the
-// engine's Shutdown releases the state the timer would have resolved.
-func (at *ackTimer) fire() {
-	it := getItem()
-	it.kind = itemTimer
-	it.timer = at
-	at.s.enqueue(it)
-}
-
 // shardShell implements algo2.Deps for one shard. Every method is invoked
 // by the engine on the shard goroutine; everything it reads from the broker
 // is either immutable after New (cfg, epoch, neighbors), a copy-on-write
@@ -323,25 +328,20 @@ func (at *ackTimer) fire() {
 // the data path.
 type shardShell struct{ s *shard }
 
-var _ algo2.Deps[*ackTimer] = shardShell{}
+var _ algo2.Deps[des.EventID] = shardShell{}
 
 // Now is the engine clock: time since the broker's construction epoch.
 func (sh shardShell) Now() time.Duration { return time.Since(sh.s.b.epoch) }
 
-// AfterFunc arms a wall-clock timer whose callback re-enters the engine
-// through the shard mailbox.
-func (sh shardShell) AfterFunc(d time.Duration, fn func(any), arg any) *ackTimer {
-	at := &ackTimer{s: sh.s, fn: fn, arg: arg}
-	at.t = time.AfterFunc(d, at.fire)
-	return at
+// AfterFunc puts a deadline on the shard's timer queue; the shard goroutine
+// runs the callback in the first turn that starts at or after it.
+func (sh shardShell) AfterFunc(d time.Duration, fn func(any), arg any) des.EventID {
+	return sh.s.timers.AtFunc(sh.Now()+d, fn, arg)
 }
 
-// CancelTimer reliably cancels: stopped is only touched on the shard
-// goroutine, and a fired-but-not-yet-applied timer item re-checks it there.
-func (sh shardShell) CancelTimer(t *ackTimer) {
-	t.stopped = true
-	t.t.Stop()
-}
+// CancelTimer is reliable by construction: the goroutine that cancels is
+// the one that runs the queue. The entry drops its argument at once.
+func (sh shardShell) CancelTimer(t des.EventID) { t.Cancel() }
 
 // NextFrameID allocates an overlay-unique frame identifier. Receivers
 // de-duplicate retransmissions by frame ID and senders route the returning

@@ -8,9 +8,9 @@
 // The engine is deliberately minimal: callbacks are plain closures (or, on
 // the allocation-free fast path, a func(any) plus argument via AtFunc and
 // AfterFunc), timers can be cancelled, and the caller drives execution with
-// Run, RunUntil or Step. It is not safe for concurrent use; the simulated
-// systems built on top of it are event-driven state machines, not
-// goroutines.
+// Run, RunUntil, Step or StepUntil. It is not safe for concurrent use; the
+// simulated systems built on top of it are event-driven state machines,
+// not goroutines.
 //
 // The scheduler is engineered for steady-state zero allocation: the queue
 // is an in-package 4-ary min-heap over a flat slice of (time, seq) entries
@@ -21,6 +21,7 @@
 package des
 
 import (
+	"math"
 	"math/rand/v2"
 	"time"
 )
@@ -205,8 +206,15 @@ func (s *Simulator) AfterFunc(d time.Duration, fn func(any), arg any) EventID {
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It reports whether an event was executed (false when the
 // queue held only cancelled events or was empty).
-func (s *Simulator) Step() bool {
-	for len(s.heap) > 0 {
+func (s *Simulator) Step() bool { return s.StepUntil(math.MaxInt64) }
+
+// StepUntil is Step bounded by t: it drops the cancelled entries due by t
+// and executes at most one live event, and only one scheduled at or before
+// t — never the next live event whatever its time, which is what skipping
+// a cancelled top and then calling Step would do. It reports whether an
+// event was executed; the clock moves only to an executed event's time.
+func (s *Simulator) StepUntil(t time.Duration) bool {
+	for len(s.heap) > 0 && s.heap[0].at <= t {
 		e := s.popMin()
 		ev := e.ev
 		if ev.canceled {
@@ -227,6 +235,23 @@ func (s *Simulator) Step() bool {
 	return false
 }
 
+// NextAt returns the time of the earliest live event, and false when there
+// is none. Cancelled entries at the top of the queue are dropped on the
+// way, so a queue whose events were all cancelled is empty afterwards: a
+// wall-clock shell sleeps until the returned instant, and must not wake
+// for a deadline nobody waits on any more.
+func (s *Simulator) NextAt() (time.Duration, bool) {
+	for len(s.heap) > 0 {
+		ev := s.heap[0].ev
+		if !ev.canceled {
+			return s.heap[0].at, true
+		}
+		s.popMin()
+		s.recycle(ev)
+	}
+	return 0, false
+}
+
 // Run executes events until the queue is empty.
 func (s *Simulator) Run() {
 	for s.Step() {
@@ -236,8 +261,7 @@ func (s *Simulator) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // t. Events scheduled beyond t remain pending.
 func (s *Simulator) RunUntil(t time.Duration) {
-	for len(s.heap) > 0 && s.heap[0].at <= t {
-		s.Step()
+	for s.StepUntil(t) {
 	}
 	if s.now < t {
 		s.now = t

@@ -323,3 +323,84 @@ func BenchmarkSteadyStateScheduleFire(b *testing.B) {
 		sim.Step()
 	}
 }
+
+// A cancelled event due by t sits above a live one scheduled after t:
+// RunUntil(t) must drop the first and leave the second alone. Built on Step
+// it ran the 5 s event at RunUntil(2 s) and left Now at 5 s.
+func TestRunUntilDoesNotOvershootPastCancelled(t *testing.T) {
+	sim := New(1)
+	ran := false
+	sim.At(time.Second, func() {}).Cancel()
+	sim.At(5*time.Second, func() { ran = true })
+	sim.RunUntil(2 * time.Second)
+	if ran {
+		t.Error("RunUntil(2s) ran the event scheduled at 5s")
+	}
+	if sim.Now() != 2*time.Second {
+		t.Errorf("Now = %v, want 2s", sim.Now())
+	}
+	if sim.Pending() != 1 {
+		t.Errorf("Pending = %d, want the 5s event only", sim.Pending())
+	}
+	sim.Run()
+	if !ran || sim.Now() != 5*time.Second {
+		t.Errorf("after Run: ran=%v Now=%v, want true 5s", ran, sim.Now())
+	}
+}
+
+func TestStepUntilRunsOneDueEventInFIFOOrder(t *testing.T) {
+	sim := New(1)
+	var order []int
+	for i := 0; i < 4; i++ {
+		i := i
+		id := sim.At(time.Second, func() { order = append(order, i) })
+		if i == 1 {
+			id.Cancel()
+		}
+	}
+	sim.At(2*time.Second, func() { order = append(order, 9) })
+	if sim.StepUntil(time.Second - 1) {
+		t.Fatal("StepUntil ran an event before its time")
+	}
+	for n := 1; n <= 3; n++ {
+		if !sim.StepUntil(time.Second) || len(order) != n {
+			t.Fatalf("step %d: order = %v, want one more event per step", n, order)
+		}
+	}
+	if sim.StepUntil(time.Second) {
+		t.Fatal("StepUntil(1s) ran the event scheduled at 2s")
+	}
+	if want := []int{0, 2, 3}; order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
+		t.Errorf("equal-time order = %v, want %v", order, want)
+	}
+	if sim.Now() != time.Second {
+		t.Errorf("Now = %v, want 1s: StepUntil moves the clock only to an executed event", sim.Now())
+	}
+}
+
+func TestNextAtPrunesCancelledTops(t *testing.T) {
+	sim := New(1)
+	if _, ok := sim.NextAt(); ok {
+		t.Error("NextAt on an empty queue reported an event")
+	}
+	a := sim.At(time.Second, func() {})
+	b := sim.At(2*time.Second, func() {})
+	live := sim.At(3*time.Second, func() {})
+	buried := sim.At(4*time.Second, func() {})
+	a.Cancel()
+	b.Cancel()
+	buried.Cancel()
+	if at, ok := sim.NextAt(); !ok || at != 3*time.Second {
+		t.Errorf("NextAt = %v, %v, want 3s, true", at, ok)
+	}
+	if sim.Pending() != 2 {
+		t.Errorf("Pending = %d, want 2: cancelled tops dropped, the one under a live event kept", sim.Pending())
+	}
+	if sim.Now() != 0 {
+		t.Errorf("NextAt moved the clock to %v", sim.Now())
+	}
+	live.Cancel()
+	if _, ok := sim.NextAt(); ok || sim.Pending() != 0 {
+		t.Errorf("all cancelled: NextAt ok=%v Pending=%d, want false 0", ok, sim.Pending())
+	}
+}
