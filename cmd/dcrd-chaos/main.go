@@ -223,9 +223,9 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "FAIL: broker %d leaked %d goroutines\n", b.ID(), g)
 			failed = true
 		}
-		if works, flights, frames := b.PoolsLive(); works+flights+frames != 0 {
-			fmt.Fprintf(out, "FAIL: broker %d leaked pooled objects (works=%d flights=%d frames=%d)\n",
-				b.ID(), works, flights, frames)
+		if works, flights, frames := b.PoolsLive(); works+flights+frames+b.PayloadsLive() != 0 {
+			fmt.Fprintf(out, "FAIL: broker %d leaked pooled objects (works=%d flights=%d frames=%d payloads=%d)\n",
+				b.ID(), works, flights, frames, b.PayloadsLive())
 			failed = true
 		}
 	}
@@ -364,10 +364,11 @@ func (ov *overlay) awaitRoutes(subAt []int, timeout time.Duration) error {
 	return nil
 }
 
-// poolsDrained reports whether every broker's engine pools are back to zero.
+// poolsDrained reports whether every broker's engine pools and payload
+// references are back to zero.
 func (ov *overlay) poolsDrained() bool {
 	for _, b := range ov.brokers {
-		if works, flights, frames := b.PoolsLive(); works+flights+frames != 0 {
+		if works, flights, frames := b.PoolsLive(); works+flights+frames+b.PayloadsLive() != 0 {
 			return false
 		}
 	}

@@ -36,7 +36,11 @@ import (
 // Packet is the engine's view of one published packet. Times are durations
 // on the deployment's engine clock (Deps.Now): virtual time in the
 // simulator, time-since-broker-epoch live. Payload is opaque to the engine
-// and travels untouched from Publish/Inbound to outbound Frames.
+// and travels untouched from Publish/Inbound to outbound Frames. A payload
+// that implements Retain()/Release() is reference-counted by the engine
+// under one rule: every work that carries the packet holds one reference,
+// taken when the work is filled and dropped when it is recycled. Frames
+// hold none — a flight pins its work — and the caller keeps its own.
 type Packet struct {
 	ID          uint64
 	Topic       int32
@@ -44,6 +48,14 @@ type Packet struct {
 	PublishedAt time.Duration
 	Deadline    time.Duration
 	Payload     any
+}
+
+// refCounted is what a Packet.Payload may implement to be told how long the
+// engine needs it (the live broker's pooled payload buffers). Any other
+// payload — nil in the simulator, a plain []byte — is carried untouched.
+type refCounted interface {
+	Retain()
+	Release()
 }
 
 // Frame is one outbound data-frame body: the packet plus the destinations
@@ -232,12 +244,16 @@ func (p *Pools[T]) allocWork(e *Engine[T]) *work[T] {
 	return w
 }
 
-// releaseWork drops one reference and recycles the work when none remain.
+// releaseWork drops one reference and recycles the work when none remain,
+// giving back the payload reference the work held.
 func (p *Pools[T]) releaseWork(w *work[T]) {
 	w.refs--
 	if w.refs == 0 {
 		p.liveWork.Add(-1)
 		w.eng = nil
+		if rc, ok := w.pkt.Payload.(refCounted); ok {
+			rc.Release()
+		}
 		w.pkt = Packet{}
 		p.freeWork = append(p.freeWork, w)
 	}
@@ -292,11 +308,64 @@ func (p *Pools[T]) releaseFlight(fl *flight[T]) {
 // can never resurrect a packet.
 const dedupHorizonFactor = 2
 
-// seenRec is one dedup entry in FIFO insertion order, used to expire the
-// seen set past the dedup horizon.
+// seenChunk is the dedup state of 64 consecutive frame IDs: one bit per ID
+// and the time of the newest insert. It holds no pointers, so the garbage
+// collector never scans the set.
+type seenChunk struct {
+	bits uint64
+	last time.Duration
+}
+
+// seenSet remembers processed frame IDs by the chunk (id>>6). A chunk is
+// forgotten only once its newest insert is older than the horizon, so every
+// ID is remembered at least that long and at most the time its chunk took to
+// fill longer (seenQ expires in creation order, which can hold a chunk behind
+// one that filled more slowly). Frame IDs are allocated by counters — live as
+// broker<<48 | shard<<42 | counter — so a stream's neighbours share a chunk
+// and one bit per frame is close to what the set costs.
+type seenSet struct {
+	chunks map[uint64]seenChunk
+	seenQ  []seenRec // live chunks, oldest first
+	head   int
+}
+
+// seenRec queues one chunk for expiry. at is a time the chunk is known to
+// have had an insert (its first, until a look finds a newer one): the chunk
+// cannot expire before at+horizon, so add reads the old, cache-cold chunk
+// itself only then and not on every insert.
 type seenRec struct {
-	id uint64
-	at time.Duration
+	key uint64
+	at  time.Duration
+}
+
+// has reports whether id was added and not yet forgotten.
+func (s *seenSet) has(id uint64) bool {
+	return s.chunks[id>>6].bits&(1<<(id&63)) != 0
+}
+
+// add inserts id at time now (which never decreases) and forgets the chunks
+// whose newest insert is more than horizon old.
+func (s *seenSet) add(id uint64, now, horizon time.Duration) {
+	for s.head < len(s.seenQ) && now-s.seenQ[s.head].at > horizon {
+		rec := &s.seenQ[s.head]
+		if last := s.chunks[rec.key].last; now-last <= horizon {
+			rec.at = last
+			break
+		}
+		delete(s.chunks, rec.key)
+		s.head++
+	}
+	if s.head > 64 && s.head*2 >= len(s.seenQ) {
+		s.seenQ = s.seenQ[:copy(s.seenQ, s.seenQ[s.head:])]
+		s.head = 0
+	}
+	c, ok := s.chunks[id>>6]
+	if !ok {
+		s.seenQ = append(s.seenQ, seenRec{key: id >> 6, at: now})
+	}
+	c.bits |= 1 << (id & 63)
+	c.last = now
+	s.chunks[id>>6] = c
 }
 
 // Engine is one node's Algorithm-2 state: deduplication of received frames
@@ -312,9 +381,7 @@ type Engine[T any] struct {
 	cfg   Config
 	id    int
 
-	seen     map[uint64]struct{}
-	seenQ    []seenRec
-	seenHead int
+	seen     seenSet
 	inflight map[uint64]*flight[T]
 	// pendingRetries tracks scheduled re-process events (deferred retries
 	// after a missing link, persistency holds) so Shutdown can cancel them
@@ -342,7 +409,7 @@ func NewEngine[T any](cfg Config, deps Deps[T], pools *Pools[T]) *Engine[T] {
 		pools:        pools,
 		cfg:          cfg,
 		id:           cfg.NodeID,
-		seen:         make(map[uint64]struct{}),
+		seen:         seenSet{chunks: make(map[uint64]seenChunk)},
 		inflight:     make(map[uint64]*flight[T]),
 		ackTimeoutFn: ackTimeoutFired[T],
 		reprocessFn:  reprocessWork[T],
@@ -451,6 +518,14 @@ type work[T any] struct {
 	refs     int
 }
 
+// setPkt fills w's packet and takes the work's payload reference.
+func (w *work[T]) setPkt(pkt Packet) {
+	w.pkt = pkt
+	if rc, ok := pkt.Payload.(refCounted); ok {
+		rc.Retain()
+	}
+}
+
 // addToPathSet marks node b as on this copy's routing path, growing the
 // bitset when b exceeds the pool's node hint.
 func (w *work[T]) addToPathSet(b int) {
@@ -505,7 +580,7 @@ type flight[T any] struct {
 func (e *Engine[T]) Publish(pkt Packet, dests []int) {
 	e.record(trace.Publish, pkt.ID, e.id, -1, dests, "")
 	w := e.pools.allocWork(e)
-	w.pkt = pkt
+	w.setPkt(pkt)
 	w.upstream = -1
 	w.addToPathSet(e.id)
 	for _, dest := range dests {
@@ -520,12 +595,9 @@ func (e *Engine[T]) Publish(pkt Packet, dests []int) {
 }
 
 // SeenFrame reports whether a frame ID was already processed, without
-// inserting it. Shells use this to skip per-frame setup (payload copies)
-// for retransmissions before calling HandleData.
-func (e *Engine[T]) SeenFrame(id uint64) bool {
-	_, dup := e.seen[id]
-	return dup
-}
+// inserting it. No shell calls it (HandleData does its own check); tests
+// use it to observe the dedup set.
+func (e *Engine[T]) SeenFrame(id uint64) bool { return e.seen.has(id) }
 
 // HandleData implements Algorithm 2 lines 1–6 for one received data frame:
 // deduplicate, deliver to local subscribers, then start processing the
@@ -533,14 +605,13 @@ func (e *Engine[T]) SeenFrame(id uint64) bool {
 // it is sent for every received frame, duplicates included, before calling
 // HandleData.
 func (e *Engine[T]) HandleData(in Inbound) {
-	if _, dup := e.seen[in.FrameID]; dup {
+	if e.seen.has(in.FrameID) {
 		return // retransmission of an already-processed frame
 	}
-	now := e.deps.Now()
-	e.noteSeen(in.FrameID, now)
+	e.seen.add(in.FrameID, e.deps.Now(), dedupHorizonFactor*e.cfg.MaxLifetime)
 
 	w := e.pools.allocWork(e)
-	w.pkt = in.Pkt
+	w.setPkt(in.Pkt)
 	w.path = append(w.path, in.Path...)
 	w.upstream = UpstreamOf(e.id, in.Path)
 	for _, b := range in.Path {
@@ -593,27 +664,6 @@ func (e *Engine[T]) HandleAck(frameID uint64) (to int, ok bool) {
 	e.pools.releaseFlight(fl)
 	e.pools.releaseWork(w)
 	return to, true
-}
-
-// noteSeen inserts a frame into the dedup set and expires entries older
-// than dedupHorizonFactor×MaxLifetime, keeping long runs flat in memory.
-func (e *Engine[T]) noteSeen(id uint64, now time.Duration) {
-	horizon := dedupHorizonFactor * e.cfg.MaxLifetime
-	for e.seenHead < len(e.seenQ) && now-e.seenQ[e.seenHead].at > horizon {
-		delete(e.seen, e.seenQ[e.seenHead].id)
-		e.seenQ[e.seenHead] = seenRec{}
-		e.seenHead++
-	}
-	if e.seenHead > 64 && e.seenHead*2 >= len(e.seenQ) {
-		n := copy(e.seenQ, e.seenQ[e.seenHead:])
-		for i := n; i < len(e.seenQ); i++ {
-			e.seenQ[i] = seenRec{}
-		}
-		e.seenQ = e.seenQ[:n]
-		e.seenHead = 0
-	}
-	e.seen[id] = struct{}{}
-	e.seenQ = append(e.seenQ, seenRec{id: id, at: now})
 }
 
 // UpstreamOf finds the upstream node of node in a routing path: the entry
@@ -713,7 +763,7 @@ func (e *Engine[T]) process(w *work[T]) {
 			// resend once network conditions can have changed, with a
 			// clean slate (fresh path and failed set).
 			retry := e.pools.allocWork(e)
-			retry.pkt = w.pkt
+			retry.setPkt(w.pkt)
 			retry.upstream = -1
 			retry.addToPathSet(e.id)
 			for _, dest := range exhausted {

@@ -235,3 +235,58 @@ func (d *armingDeps) AfterFunc(dur time.Duration, fn func(any), arg any) *testTi
 	*d.armed = append(*d.armed, tm)
 	return tm
 }
+
+// TestPayloadReferences pins the engine's one rule for a reference-counted
+// payload: every work that carries the packet holds one reference — taken
+// by Publish, by HandleData for a fresh frame, and by the §III persistency
+// copy — a duplicate frame takes none, and the last one goes when the work
+// is recycled. The caller's own reference (the 1 the payload starts with)
+// is never touched.
+func TestPayloadReferences(t *testing.T) {
+	var timers []*testTimer
+	deps := &testDeps{list: []int{2}}
+	shim := &armingDeps{testDeps: deps, armed: &timers}
+	pools := NewPools[*testTimer](8)
+	eng := NewEngine[*testTimer](Config{NodeID: 1, M: 1, MaxLifetime: time.Hour, Persistent: true}, shim, pools)
+	want := func(p *countPayload, n int, when string) {
+		t.Helper()
+		if p.refs != n {
+			t.Fatalf("%s: %d references, want %d", when, p.refs, n)
+		}
+	}
+
+	pub := &countPayload{refs: 1}
+	eng.Publish(Packet{ID: 1, Topic: 7, Source: 1, Payload: pub}, []int{3})
+	want(pub, 2, "published, flight awaiting its ACK")
+	eng.HandleAck(deps.lastFrame)
+	want(pub, 1, "publish ACKed")
+
+	in := Inbound{
+		FrameID: 1<<40 | 1, From: 0,
+		Pkt:   Packet{ID: 2, Topic: 7, Source: 0, Payload: &countPayload{refs: 1}},
+		Dests: []int{3}, Path: []int{0},
+	}
+	rcv := in.Pkt.Payload.(*countPayload)
+	eng.HandleData(in)
+	want(rcv, 2, "fresh frame forwarded")
+	eng.HandleData(in)
+	want(rcv, 2, "duplicate frame")
+	eng.HandleAck(deps.lastFrame)
+	want(rcv, 1, "forwarded frame ACKed")
+	eng.HandleData(in)
+	want(rcv, 1, "duplicate frame after the ACK")
+
+	// The only neighbor times out at the origin: the publish's work is
+	// recycled and the persistency copy holds the packet until its retry.
+	held := &countPayload{refs: 1}
+	eng.Publish(Packet{ID: 3, Topic: 7, Source: 1, Payload: held}, []int{3})
+	want(held, 2, "published, flight awaiting its ACK")
+	ack := timers[len(timers)-1]
+	ack.fn(ack.arg)
+	want(held, 2, "held for a persistency retry")
+	eng.Shutdown()
+	want(held, 1, "Shutdown with the retry pending")
+	if w, f, fr := pools.Live(); w != 0 || f != 0 || fr != 0 {
+		t.Fatalf("pool leak: works=%d flights=%d frames=%d", w, f, fr)
+	}
+}

@@ -79,6 +79,13 @@ func (d *fuzzDeps) NextRetryAt(now time.Duration) time.Duration {
 	return now + 5*time.Millisecond
 }
 
+// countPayload is a Packet.Payload that counts its references. The test
+// that creates one holds the first; everything above it is the engine's.
+type countPayload struct{ refs int }
+
+func (p *countPayload) Retain()  { p.refs++ }
+func (p *countPayload) Release() { p.refs-- }
+
 // fireTimer fires armed timer i if it is still eligible.
 func (d *fuzzDeps) fireTimer(i int) {
 	tm := d.timers[i]
@@ -91,9 +98,11 @@ func (d *fuzzDeps) fireTimer(i int) {
 
 // FuzzEngine feeds the engine's state machine arbitrary interleavings of
 // publishes, received frames, duplicate frames, (stale) ACKs, timer firings
-// and clock jumps, then drains every copy and checks that nothing panicked,
-// no frame was processed twice, and all pooled state came back (pool
-// round-trip counts return to zero, no flights leak).
+// and clock jumps, then drains every copy — or, with bit 3 of the first byte
+// set, shuts the engine down with everything still in flight — and checks
+// that nothing panicked, no frame was processed twice, and all pooled state
+// came back: pool round-trip counts return to zero, no flights leak, and
+// every payload is back to the one reference its creator holds.
 func FuzzEngine(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x21, 0x30, 0x40})
 	f.Add([]byte{0x13, 0x13, 0x50, 0x51, 0x52, 0x31})
@@ -105,6 +114,12 @@ func FuzzEngine(f *testing.F) {
 	// replays, ACKs and timers.
 	f.Add([]byte{0x02, 0x10, 0x14, 0x18, 0x1c, 0x20, 0x30, 0x50})
 	f.Add([]byte{0x07, 0x10, 0x10, 0x14, 0x20, 0x1c, 0x18, 0x31, 0x52, 0x65, 0x50})
+	// Persistency holds at the origin (every link down), drained (bit 3
+	// clear) or shut down with the holds pending (bit 3 set); then flights
+	// and a failover in the air at Shutdown.
+	f.Add([]byte{0x04, 0x70, 0x72, 0x73, 0x74, 0x75, 0x00, 0x02, 0x50, 0x60, 0x51})
+	f.Add([]byte{0x0c, 0x70, 0x72, 0x73, 0x74, 0x75, 0x00, 0x02, 0x50, 0x60, 0x51})
+	f.Add([]byte{0x08, 0x02, 0x10, 0x14, 0x50, 0x18, 0x20})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -120,6 +135,25 @@ func FuzzEngine(f *testing.F) {
 			Persistent:  data[0]&4 != 0,
 		}
 		eng := NewEngine[*fuzzTimer](cfg, deps, pools)
+
+		var payloads []*countPayload
+		newPayload := func() *countPayload {
+			p := &countPayload{refs: 1}
+			payloads = append(payloads, p)
+			return p
+		}
+		checkLive := func(when string) {
+			t.Helper()
+			if w, fl, fr := pools.Live(); w != 0 || fl != 0 || fr != 0 {
+				t.Fatalf("pool leak %s: works=%d flights=%d frames=%d", when, w, fl, fr)
+			}
+			for i, p := range payloads {
+				if p.refs != 1 {
+					t.Fatalf("payload %d of %d has %d references %s, want the creator's 1",
+						i, len(payloads), p.refs, when)
+				}
+			}
+		}
 
 		var pktSeq, inSeq uint64
 		var lastIn Inbound
@@ -138,6 +172,7 @@ func FuzzEngine(f *testing.F) {
 					Topic:       7,
 					Source:      1,
 					PublishedAt: deps.now,
+					Payload:     newPayload(),
 				}, destPool[arg%len(destPool)])
 			case 1: // receive a fresh frame
 				inSeq++
@@ -155,6 +190,7 @@ func FuzzEngine(f *testing.F) {
 						Topic:       7,
 						Source:      0,
 						PublishedAt: deps.now,
+						Payload:     newPayload(),
 					},
 					Dests: destPool[arg%len(destPool)],
 					Path:  pathPool[arg%len(pathPool)],
@@ -195,6 +231,12 @@ func FuzzEngine(f *testing.F) {
 			}
 		}
 
+		if data[0]&8 != 0 {
+			eng.Shutdown()
+			checkLive("after Shutdown with traffic in flight")
+			return
+		}
+
 		// Drain: push every copy past its lifetime and fire all timers
 		// (firing spawns retransmit/reprocess timers, so loop) until the
 		// engine has no in-flight state left.
@@ -220,8 +262,8 @@ func FuzzEngine(f *testing.F) {
 		if n := eng.InflightCount(); n != 0 {
 			t.Fatalf("inflight leak after drain: %d groups", n)
 		}
-		if w, fl, fr := pools.Live(); w != 0 || fl != 0 || fr != 0 {
-			t.Fatalf("pool leak after drain: works=%d flights=%d frames=%d", w, fl, fr)
-		}
+		checkLive("after drain")
+		eng.Shutdown()
+		checkLive("after drain and Shutdown")
 	})
 }

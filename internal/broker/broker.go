@@ -214,6 +214,9 @@ type Broker struct {
 	// nextPacketID allocates overlay-unique packet IDs across all publisher
 	// connections (the broker ID occupies the bits above the counter).
 	nextPacketID atomic.Uint64
+	// payloadsLive counts the pooled packet bodies (forward.go) some holder
+	// still has a reference to.
+	payloadsLive atomic.Int64
 
 	// routesSnap/subsSnap are the copy-on-write control-plane snapshots the
 	// data plane reads lock-free: rebuilt under b.mu whenever routes or
@@ -543,6 +546,11 @@ func (b *Broker) Close() error {
 		_ = c.conn.Close()
 	}
 	b.wg.Wait()
+	// A read loop that raced done can have put an item in a mailbox after
+	// its shard drained; with every producer gone, recycle what is left.
+	for _, s := range b.shards {
+		s.discardQueued()
+	}
 	// The WAL closes dead last: shard drains may journal clears right up to
 	// shardWg.Wait, and its final flush makes everything appended durable.
 	// Custody still outstanding at close stays in the log — that is the
@@ -625,6 +633,12 @@ func (b *Broker) PoolsLive() (works, flights, frames int) {
 	}
 	return works, flights, frames
 }
+
+// PayloadsLive reports the pooled packet bodies still referenced by a
+// mailbox item, an engine work, a queued delivery or a writer-path message.
+// Like PoolsLive it must read zero once every packet resolves and always
+// after Close: a reference released never is invisible to every other check.
+func (b *Broker) PayloadsLive() int { return int(b.payloadsLive.Load()) }
 
 // statsReply snapshots the broker's operational state for a monitoring
 // client (cmd/dcrd-mon).

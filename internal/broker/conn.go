@@ -91,7 +91,8 @@ func (w *connWriter) kick() {
 // grace period (backpressure) and then the message is dropped with
 // errSendQueueFull; the connection itself stays up — Algorithm 2's
 // retransmit machinery covers dropped data frames, and pings/adverts are
-// periodic anyway.
+// periodic anyway. On nil the message belongs to the writer, which releases
+// it (releaseMsg); on an error it is still the caller's.
 func (w *connWriter) send(msg wire.Message) error {
 	select {
 	case <-w.stop:
@@ -100,6 +101,7 @@ func (w *connWriter) send(msg wire.Message) error {
 	}
 	select {
 	case w.queue <- msg:
+		w.queued()
 		return nil
 	default:
 	}
@@ -107,6 +109,7 @@ func (w *connWriter) send(msg wire.Message) error {
 	defer t.Stop()
 	select {
 	case w.queue <- msg:
+		w.queued()
 		return nil
 	case <-w.stop:
 		return errNotConnected
@@ -118,6 +121,32 @@ func (w *connWriter) send(msg wire.Message) error {
 	}
 }
 
+// queued runs after a successful enqueue. A writer that stopped in between
+// has already released what it found queued and will not look again, so the
+// sender does it in its place: no queued message outlives its writer
+// unreleased (the payload references they hold are what PayloadsLive counts).
+func (w *connWriter) queued() {
+	select {
+	case <-w.stop:
+		w.releaseQueued()
+	default:
+	}
+}
+
+// releaseQueued releases every message in the queue without encoding it.
+func (w *connWriter) releaseQueued() {
+	for {
+		select {
+		case msg := <-w.queue:
+			if msg != nil {
+				releaseMsg(msg)
+			}
+		default:
+			return
+		}
+	}
+}
+
 // runWriter drains a connection's outbound queue: each wakeup encodes every
 // queued message (up to maxFlushBytes) into one reused buffer and issues a
 // single conn.Write. A write error ends the writer and runs onExit, which
@@ -126,15 +155,19 @@ func (w *connWriter) send(msg wire.Message) error {
 // For neighbor links (nc != nil) the writer is also the relay-aggregation
 // point: when the link negotiated wire.CapRelayBatch, consecutive queued
 // Data messages are packed into DataBatch frames, and every flush drains
-// the neighbor's coalesced-ACK set into one AckBatch frame. Pooled
-// messages (wire.Data, wire.MuxDeliver) are recycled after encoding.
+// the neighbor's coalesced-ACK set into one AckBatch frame. Messages are
+// released after encoding (releaseMsg), and whatever is still queued when
+// the writer exits — stopped first, so that send can tell — is released
+// unencoded.
 func (b *Broker) runWriter(w *connWriter, label string, nc *neighborConn, onExit func()) {
 	defer onExit()
+	defer w.releaseQueued()
+	defer w.shutdown()
 	buf := make([]byte, 0, writerBufCap)
 	var (
 		batch       wire.DataBatch // consecutive Data frames for a batch peer
 		batchLegacy int            // their legacy encoded size (telemetry)
-		release     []wire.Message // pooled messages to recycle after encode
+		release     []wire.Message // messages to release after encode
 		ackIDs      []uint64       // coalesced-ACK drain scratch
 	)
 	flushBatch := func() {
@@ -158,9 +191,9 @@ func (b *Broker) runWriter(w *connWriter, label string, nc *neighborConn, onExit
 		if msg == nil { // kick(): pure wakeup for the ACK coalescer
 			return
 		}
-		if d, ok := msg.(*wire.Data); ok && nc.batchTo(b) {
-			batch.Frames = append(batch.Frames, *d)
-			batchLegacy += legacyDataBytes(d)
+		if d, ok := msg.(*dataMsg); ok && nc.batchTo(b) {
+			batch.Frames = append(batch.Frames, d.Data)
+			batchLegacy += legacyDataBytes(&d.Data)
 			release = append(release, msg)
 			if len(batch.Frames) >= dataBatchMaxFrames {
 				flushBatch()
@@ -195,8 +228,7 @@ func (b *Broker) runWriter(w *connWriter, label string, nc *neighborConn, onExit
 				buf = b.appendAckBatch(buf, label, ackIDs)
 			}
 		}
-		// Every batched entry is encoded (or dropped) by now; recycle the
-		// pooled messages.
+		// Every batched entry is encoded (or dropped) by now.
 		for i, m := range release {
 			releaseMsg(m)
 			release[i] = nil

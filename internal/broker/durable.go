@@ -110,7 +110,7 @@ func (b *Broker) replayRecovered(rec *wal.Recovered) {
 		it.source = d.Source
 		it.pubAt = d.PublishedAt
 		it.deadline = d.Deadline
-		it.payload = d.Payload
+		it.payload = b.newPayload(d.Payload)
 		for _, dd := range d.Dests {
 			it.dests = append(it.dests, int(dd))
 		}

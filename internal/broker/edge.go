@@ -23,10 +23,11 @@ import (
 // Data plane: shard delivery flush looks the packet's topic up in the
 // snapshot and encodes each payload once per legacy subscriber plus once
 // per (topic, session) — a MuxDeliver carrying the varint subscriber-ID
-// list — instead of once per logical subscriber. The payload []byte and the
+// list — instead of once per logical subscriber. The payload bytes and the
 // snapshot's subscriber-ID slices are shared, never copied per delivery:
-// both are immutable once published (copy-on-write snapshot, stable payload
-// allocation), so every queued wire message may alias them.
+// both are immutable once published (copy-on-write snapshot; a payload's
+// buffer is not recycled while a queued message holds a reference to it,
+// forward.go), so every queued wire message may alias them.
 
 const (
 	// maxSessionSubID caps client-chosen subscriber IDs so a hostile

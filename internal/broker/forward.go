@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -13,17 +15,82 @@ import (
 // point here takes b.mu — the data plane reads only immutable broker state,
 // copy-on-write snapshots and atomics.
 
-// queuedDeliver is one local delivery the engine produced during a shard's
-// engine call; it is sent to the ledger's subscribers when the shard
-// flushes, after the engine returns. led is an immutable snapshot ledger.
-type queuedDeliver struct {
-	led *topicLedger
-	msg *wire.Deliver
+// payload is the one owner of a packet body inside the broker: a pooled,
+// reference-counted buffer. The bytes are copied in once per broker, from
+// the frame the read loop's pooled Reader is about to recycle (publishLocal,
+// handleData) or from a recovered WAL record (replayRecovered) — aliasing the
+// read buffer instead would pin 64 KiB per packet still in flight and stall
+// the Reader, and a 64-byte memmove is not what a copy costs: the object and
+// its collection are, and the pool removes both. From there every holder
+// keeps a reference and whoever drops the last one recycles the buffer:
+//
+//   - the mailbox item, from creation until the shard has applied it;
+//   - the engine, one per work that carries the packet (algo2.Packet);
+//   - a queued local delivery, from shardShell.Deliver to the shard's flush;
+//   - each DATA, MuxDeliver or legacy Deliver message that borrows the
+//     bytes, from a successful send until its writer has encoded it (one
+//     per writer for the shared legacy message).
+//
+// A *payload is never nil where one is expected: stored in Packet.Payload
+// (an any), a nil pointer would be a non-nil interface.
+type payload struct {
+	buf  []byte
+	refs atomic.Int32
+	live *atomic.Int64 // the owning broker's PayloadsLive gauge
 }
 
-// publishLocal accepts a publish from a connected client: deliver to local
-// subscribers immediately, then hand one copy per known subscriber broker
-// to the owning shard's engine.
+// maxPooledPayload is the largest buffer a released payload keeps for reuse
+// (the writer-scratch rule: one giant body must not pin its memory).
+const maxPooledPayload = 64 << 10
+
+var payloadPool = sync.Pool{New: func() any { return new(payload) }}
+
+// newPayload copies src into a pooled buffer; the caller holds the one
+// reference.
+func (b *Broker) newPayload(src []byte) *payload {
+	p := payloadPool.Get().(*payload)
+	p.buf = append(p.buf[:0], src...)
+	p.refs.Store(1)
+	p.live = &b.payloadsLive
+	p.live.Add(1)
+	return p
+}
+
+// Retain takes one more reference.
+func (p *payload) Retain() { p.refs.Add(1) }
+
+// Release drops one reference; the last one recycles the buffer.
+func (p *payload) Release() {
+	switch n := p.refs.Add(-1); {
+	case n > 0:
+	case n < 0:
+		panic("broker: payload released more often than retained")
+	default:
+		p.live.Add(-1)
+		p.live = nil
+		if cap(p.buf) > maxPooledPayload {
+			p.buf = nil
+		}
+		payloadPool.Put(p)
+	}
+}
+
+// queuedDeliver is one local delivery: the packet's header fields by value,
+// the body by reference, and the immutable snapshot ledger to send it to.
+// The engine produces them during a shard's engine call (shardShell.Deliver)
+// and the shard sends them when it flushes, after the engine returns.
+type queuedDeliver struct {
+	led     *topicLedger
+	topic   int32
+	pktID   uint64
+	source  int32
+	pubAt   time.Time
+	payload *payload
+}
+
+// publishLocal accepts a publish from a connected client: hand one copy per
+// known subscriber broker to the owning shard's engine, then deliver to
+// local subscribers.
 func (b *Broker) publishLocal(m *wire.Publish) {
 	if b.stopping() {
 		return
@@ -34,8 +101,11 @@ func (b *Broker) publishLocal(m *wire.Publish) {
 	}
 	// m belongs to the read loop's pooled Reader and is recycled on the next
 	// frame, while the routed copy and the queued deliveries outlive this
-	// call: take one stable copy of the payload.
-	payload := append([]byte(nil), m.Payload...)
+	// call. This reference is publishLocal's own, held for the local delivery
+	// below; the item gets a second one, which may be gone the moment enqueue
+	// returns.
+	body := b.newPayload(m.Payload)
+	defer body.Release()
 	now := time.Now()
 	b.published.Add(1)
 	// Packet IDs must be overlay-unique (delivery dedup keys on them), so
@@ -50,7 +120,8 @@ func (b *Broker) publishLocal(m *wire.Publish) {
 	it.source = int32(b.cfg.ID)
 	it.pubAt = now
 	it.deadline = deadline
-	it.payload = payload
+	body.Retain()
+	it.payload = body
 	// The snapshot's destination set is immutable but the item's slices are
 	// recycled scratch, so copy rather than alias it.
 	it.dests = append(it.dests[:0], b.routesSnap.Load().destsByTopic[m.Topic]...)
@@ -68,7 +139,7 @@ func (b *Broker) publishLocal(m *wire.Publish) {
 			Source:      int32(b.cfg.ID),
 			PublishedAt: now,
 			Deadline:    deadline,
-			Payload:     payload,
+			Payload:     body.buf,
 		}
 		for _, dest := range it.dests {
 			d.Dests = append(d.Dests, int32(dest))
@@ -78,12 +149,13 @@ func (b *Broker) publishLocal(m *wire.Publish) {
 	b.shardOf(pid).enqueue(it)
 
 	if deliverTo != nil {
-		b.deliver(deliverTo, &wire.Deliver{
-			Topic:       m.Topic,
-			PacketID:    pid,
-			Source:      int32(b.cfg.ID),
-			PublishedAt: now,
-			Payload:     payload,
+		b.deliver(&queuedDeliver{
+			led:     deliverTo,
+			topic:   m.Topic,
+			pktID:   pid,
+			source:  int32(b.cfg.ID),
+			pubAt:   now,
+			payload: body,
 		})
 	}
 }
@@ -96,10 +168,11 @@ func (b *Broker) handleData(from int, m *wire.Data) {
 		return
 	}
 	// m is recycled by the read loop's pooled Reader after return; the
-	// engine's copy (held across ACK timers) and any queued deliveries need
-	// a stable payload, so copy it once here. Dests/Path are copied into the
-	// pooled item's own scratch slices — the engine copies both again before
-	// its HandleData returns, so the item can be recycled immediately after.
+	// engine's work (held across ACK timers) and any queued deliveries need
+	// the body to outlive it, so copy it once here into a payload the item
+	// owns. Dests/Path are copied into the pooled item's own scratch slices —
+	// the engine copies both again before its HandleData returns, so the item
+	// can be recycled immediately after.
 	it := getItem()
 	it.kind = itemData
 	it.from = from
@@ -109,7 +182,7 @@ func (b *Broker) handleData(from int, m *wire.Data) {
 	it.source = m.Source
 	it.pubAt = m.PublishedAt
 	it.deadline = m.Deadline
-	it.payload = append([]byte(nil), m.Payload...)
+	it.payload = b.newPayload(m.Payload)
 	for _, d := range m.Dests {
 		it.dests = append(it.dests, int(d))
 	}
@@ -151,37 +224,49 @@ func (b *Broker) ackShard(frameID uint64) *shard {
 	return b.shards[int(frameID>>42&(maxShards-1))%len(b.shards)]
 }
 
-// deliver pushes a message to a topic ledger's local subscribers. Sends are
+// deliver pushes one packet to a topic ledger's local subscribers. Sends are
 // bounded enqueues into per-connection writer pipelines, safe from any
-// goroutine. Legacy subscribers each get their own Deliver frame; every
-// multiplexed session gets ONE MuxDeliver frame carrying its subscriber-ID
-// list — the payload []byte and the ledger's ID slices are shared with the
-// queued messages (both immutable, see edge.go), so the aggregation costs
-// one small message header per session, not one payload copy per
-// subscriber. The delivered counter counts logical deliveries either way.
-func (b *Broker) deliver(led *topicLedger, msg *wire.Deliver) {
-	if led == nil {
-		return
-	}
-	for _, c := range led.legacy {
-		if err := c.send(msg); err != nil {
-			b.logf("deliver to %q: %v", c.name, err)
-			continue
+// goroutine. Legacy subscribers share one Deliver message, built only when
+// the ledger has any; every multiplexed session gets ONE pooled MuxDeliver
+// carrying its subscriber-ID list (the ledger's ID slices are immutable, see
+// edge.go), so the aggregation costs one small message header per session,
+// not one payload copy per subscriber. The caller's payload reference is
+// only borrowed: each message that reaches a writer queue takes its own,
+// which that writer drops after encoding. The delivered counter counts
+// logical deliveries either way.
+func (b *Broker) deliver(q *queuedDeliver) {
+	if len(q.led.legacy) > 0 {
+		msg := &deliverMsg{payload: q.payload, Deliver: wire.Deliver{
+			Topic:       q.topic,
+			PacketID:    q.pktID,
+			Source:      q.source,
+			PublishedAt: q.pubAt,
+			Payload:     q.payload.buf,
+		}}
+		for _, c := range q.led.legacy {
+			q.payload.Retain()
+			if err := c.send(msg); err != nil {
+				releaseMsg(msg) // this writer's reference; the message is shared
+				b.logf("deliver to %q: %v", c.name, err)
+				continue
+			}
+			b.delivered.Add(1)
 		}
-		b.delivered.Add(1)
 	}
-	for i := range led.sessions {
-		sd := &led.sessions[i]
+	for i := range q.led.sessions {
+		sd := &q.led.sessions[i]
 		// Each MuxDeliver has exactly one owner (one session writer), so the
 		// struct comes from a pool: the writer recycles it after encoding
 		// (releaseMsg), and a failed send recycles it here.
-		mux := getMuxDeliver()
-		mux.Topic = msg.Topic
-		mux.PacketID = msg.PacketID
-		mux.Source = msg.Source
-		mux.PublishedAt = msg.PublishedAt
+		mux := muxMsgPool.Get().(*muxMsg)
+		mux.Topic = q.topic
+		mux.PacketID = q.pktID
+		mux.Source = q.source
+		mux.PublishedAt = q.pubAt
 		mux.SubIDs = sd.subIDs
-		mux.Payload = msg.Payload
+		mux.Payload = q.payload.buf
+		q.payload.Retain()
+		mux.payload = q.payload
 		if err := sd.c.send(mux); err != nil {
 			releaseMsg(mux)
 			b.logf("mux deliver to %q: %v", sd.c.name, err)

@@ -159,35 +159,55 @@ func (b *Broker) appendAckBatch(buf []byte, label string, ids []uint64) []byte {
 	return buf
 }
 
-// Writer-path message pools. The broker's two per-packet hot-path message
-// allocations — the wire.Data built per relay send and the wire.MuxDeliver
-// built per (topic, session) delivery — are recycled through the writer
-// pipelines: the producer takes a struct from the pool, the writer returns
-// it after encoding (releaseMsg), and a failed send returns it on the spot.
-// Each pooled message has exactly one owner at all times; messages shared
-// across writers (the per-topic legacy *wire.Deliver) are never pooled.
-var (
-	muxDeliverPool = sync.Pool{New: func() any { return new(wire.MuxDeliver) }}
-	dataFramePool  = sync.Pool{New: func() any { return new(wire.Data) }}
+// Writer-path messages. A message that carries a packet body borrows the
+// bytes of a payload (forward.go) and holds one reference to it from a
+// successful send until the writer has encoded it; the wrappers below add
+// that reference to the wire structs, whose methods they promote, so the
+// queue still holds plain wire.Messages. The two built per packet — the
+// DATA of a relay send and the MuxDeliver of a (topic, session) delivery —
+// have exactly one owner at all times and are pooled: the producer takes one,
+// the writer returns it after encoding (releaseMsg), a failed send returns it
+// on the spot. The legacy Deliver is shared by every legacy subscriber's
+// writer, so it is not pooled and holds one payload reference per writer.
+type (
+	dataMsg struct {
+		wire.Data
+		payload *payload
+	}
+	muxMsg struct {
+		wire.MuxDeliver
+		payload *payload
+	}
+	deliverMsg struct {
+		wire.Deliver
+		payload *payload
+	}
 )
 
-func getMuxDeliver() *wire.MuxDeliver { return muxDeliverPool.Get().(*wire.MuxDeliver) }
+var (
+	muxMsgPool  = sync.Pool{New: func() any { return new(muxMsg) }}
+	dataMsgPool = sync.Pool{New: func() any { return new(dataMsg) }}
+)
 
-func getDataFrame() *wire.Data { return dataFramePool.Get().(*wire.Data) }
-
-// releaseMsg recycles a pooled writer-path message after its last use.
-// Slice fields that alias longer-lived state (payloads, snapshot ID lists)
-// are dropped so the pool cannot pin them; the Data node lists are
+// releaseMsg gives up a writer-path message after its last use: once the
+// writer has encoded it, or when it could not be (or was never) queued. It
+// drops the message's payload reference and recycles the pooled structs.
+// Slice fields that alias longer-lived state (payload bytes, snapshot ID
+// lists) are dropped so the pool cannot pin them; the Data node lists are
 // producer-filled scratch and keep their capacity.
 func releaseMsg(m wire.Message) {
 	switch t := m.(type) {
-	case *wire.MuxDeliver:
-		t.SubIDs, t.Payload = nil, nil
-		muxDeliverPool.Put(t)
-	case *wire.Data:
-		t.Payload = nil
+	case *muxMsg:
+		t.payload.Release()
+		t.payload, t.SubIDs, t.Payload = nil, nil, nil
+		muxMsgPool.Put(t)
+	case *dataMsg:
+		t.payload.Release()
+		t.payload, t.Payload = nil, nil
 		t.Dests = t.Dests[:0]
 		t.Path = t.Path[:0]
-		dataFramePool.Put(t)
+		dataMsgPool.Put(t)
+	case *deliverMsg:
+		t.payload.Release()
 	}
 }

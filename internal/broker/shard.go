@@ -55,8 +55,9 @@ const (
 // shardItem is one unit of mailbox work. Items are pooled; producers fill
 // only the fields their kind uses, and the shard goroutine recycles the
 // item after applying it. The dests/path slices are item-owned scratch
-// (producers copy into them, the engine copies out of them); payload is a
-// stable per-message allocation that outlives the item.
+// (producers copy into them, the engine copies out of them); payload is the
+// item's own reference to the packet body (publish and data items only),
+// dropped when the item is recycled.
 type shardItem struct {
 	kind     int
 	from     int
@@ -66,7 +67,7 @@ type shardItem struct {
 	source   int32
 	pubAt    time.Time
 	deadline time.Duration
-	payload  []byte
+	payload  *payload
 	dests    []int
 	path     []int
 	bfn      func(*shard)
@@ -78,7 +79,10 @@ var shardItemPool = sync.Pool{New: func() any { return new(shardItem) }}
 func getItem() *shardItem { return shardItemPool.Get().(*shardItem) }
 
 func putItem(it *shardItem) {
-	it.payload = nil
+	if it.payload != nil {
+		it.payload.Release()
+		it.payload = nil
+	}
 	it.bfn = nil
 	it.acks = nil
 	it.dests = it.dests[:0]
@@ -217,15 +221,25 @@ func (s *shard) turn(now time.Duration) bool {
 // cancelling every deadline), so PoolsLive is final before Close proceeds
 // to writer-pipeline teardown.
 func (s *shard) drain() {
-	for len(s.mb) > 0 {
-		s.discard(<-s.mb)
-	}
+	s.discardQueued()
 	s.eng.Shutdown()
 	s.wake.Stop()
 }
 
+// discardQueued empties the mailbox without blocking.
+func (s *shard) discardQueued() {
+	for {
+		select {
+		case it := <-s.mb:
+			s.discard(it)
+		default:
+			return
+		}
+	}
+}
+
 // discard recycles an item without applying it, completing any barrier
-// handshake it carries.
+// handshake it carries and dropping its payload reference.
 func (s *shard) discard(it *shardItem) {
 	if it.kind == itemBarrier {
 		it.acks <- struct{}{} // buffered to shard count; never blocks
@@ -301,7 +315,8 @@ func (s *shard) flushPending() {
 	q := s.pendingDeliver
 	s.pendingDeliver = s.pendingDeliver[:0]
 	for i := range q {
-		s.b.deliver(q[i].led, q[i].msg)
+		s.b.deliver(&q[i])
+		q[i].payload.Release()
 		q[i] = queuedDeliver{}
 	}
 }
@@ -368,8 +383,9 @@ func (sh shardShell) AckWait(k int) (time.Duration, bool) {
 // neighbor's writer pipeline (already safe for concurrent senders). The
 // engine frame is only valid until return while the pipeline retains its
 // message, so the wire message is built fresh per attempt — from the pool,
-// recycled by the writer after encoding; the payload []byte is stable
-// (copied once on receipt) and shared.
+// recycled by the writer after encoding; it borrows the payload's bytes
+// under a reference of its own, since the flight (and with it the work's
+// reference) can resolve before the writer gets to it.
 func (sh shardShell) Send(f *algo2.Frame) {
 	b := sh.s.b
 	nc := b.neighbors[f.To]
@@ -377,14 +393,16 @@ func (sh shardShell) Send(f *algo2.Frame) {
 		return // no such neighbor; the ACK timer will fail the copy over
 	}
 	b.forwarded.Add(1)
-	msg := getDataFrame()
+	msg := dataMsgPool.Get().(*dataMsg)
 	msg.FrameID = f.ID
 	msg.PacketID = f.Pkt.ID
 	msg.Topic = f.Pkt.Topic
 	msg.Source = f.Pkt.Source
 	msg.PublishedAt = b.epoch.Add(f.Pkt.PublishedAt)
 	msg.Deadline = f.Pkt.Deadline
-	msg.Payload = f.Pkt.Payload.([]byte)
+	msg.payload = f.Pkt.Payload.(*payload)
+	msg.payload.Retain()
+	msg.Payload = msg.payload.buf
 	for _, d := range f.Dests {
 		msg.Dests = append(msg.Dests, int32(d))
 	}
@@ -443,15 +461,15 @@ func (sh shardShell) Deliver(pkt *algo2.Packet, _ int) {
 	if led == nil {
 		return
 	}
+	body := pkt.Payload.(*payload)
+	body.Retain() // the work's reference can be gone before the flush
 	s.pendingDeliver = append(s.pendingDeliver, queuedDeliver{
-		led: led,
-		msg: &wire.Deliver{
-			Topic:       pkt.Topic,
-			PacketID:    pkt.ID,
-			Source:      pkt.Source,
-			PublishedAt: s.b.epoch.Add(pkt.PublishedAt),
-			Payload:     pkt.Payload.([]byte),
-		},
+		led:     led,
+		topic:   pkt.Topic,
+		pktID:   pkt.ID,
+		source:  pkt.Source,
+		pubAt:   s.b.epoch.Add(pkt.PublishedAt),
+		payload: body,
 	})
 }
 

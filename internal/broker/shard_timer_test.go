@@ -85,14 +85,14 @@ func (r *timerRig) nextSent(t *testing.T) sentFrame {
 	}
 }
 
-func publishItem(pid uint64) *shardItem {
+func (r *timerRig) publishItem(pid uint64) *shardItem {
 	it := getItem()
 	it.kind = itemPublish
 	it.pktID = pid
 	it.topic = timerTopic
 	it.pubAt = time.Now()
 	it.deadline = time.Minute
-	it.payload = []byte("p")
+	it.payload = r.b.newPayload([]byte("p"))
 	it.dests = append(it.dests, 1)
 	return it
 }
@@ -113,7 +113,7 @@ func TestShardTurnQueuedAckBeatsItsTimeout(t *testing.T) {
 	defer s.drain()
 	now := shardShell{s}.Now()
 
-	s.mb <- publishItem(1)
+	s.mb <- r.publishItem(1)
 	if !s.turn(now) {
 		t.Fatal("turn with a queued publish reported no work")
 	}
@@ -152,7 +152,7 @@ func TestShardTurnFiresDueTimeoutAndLoopWakesItself(t *testing.T) {
 	defer s.drain()
 	now := shardShell{s}.Now()
 
-	s.mb <- publishItem(1)
+	s.mb <- r.publishItem(1)
 	s.turn(now)
 	first := r.nextSent(t)
 	// The engine times the retransmission's own deadline off the wall clock,
@@ -174,7 +174,7 @@ func TestShardTurnFiresDueTimeoutAndLoopWakesItself(t *testing.T) {
 		t.Errorf("Forwarded = %d, want 2", fw)
 	}
 
-	r.b.shards[0].enqueue(publishItem(2))
+	r.b.shards[0].enqueue(r.publishItem(2))
 	sent, resent := r.nextSent(t), r.nextSent(t)
 	gap := resent.at.Sub(sent.at)
 	t.Logf("running shard retransmitted %v after the send (timeout %v)", gap, timerTimeout)
@@ -217,7 +217,7 @@ func TestShardTimerArmCancelAllocatesNothing(t *testing.T) {
 func TestShardCloseWithTimersArmed(t *testing.T) {
 	r := newTimerRig(t)
 	for pid := uint64(1); pid <= 20; pid++ {
-		r.b.shards[0].enqueue(publishItem(pid))
+		r.b.shards[0].enqueue(r.publishItem(pid))
 	}
 	for i := 0; i < 20; i++ {
 		r.nextSent(t)
@@ -233,6 +233,9 @@ func TestShardCloseWithTimersArmed(t *testing.T) {
 	}
 	if w, f, fr := r.b.PoolsLive(); w+f+fr != 0 {
 		t.Errorf("PoolsLive = %d works, %d flights, %d frames after Close", w, f, fr)
+	}
+	if n := r.b.PayloadsLive(); n != 0 {
+		t.Errorf("PayloadsLive = %d after Close", n)
 	}
 	s := r.b.shards[0]
 	if s.wake.Stop() {

@@ -259,10 +259,17 @@ func assertBrokerCrashed(t *testing.T, b *Broker) {
 	if g := b.Goroutines(); g != 0 {
 		t.Errorf("broker %d: %d goroutines survived Crash", b.ID(), g)
 	}
+	assertNothingLive(t, b, "after Crash")
+}
+
+// assertNothingLive requires every pooled engine object recycled and every
+// payload reference released.
+func assertNothingLive(t *testing.T, b *Broker, when string) {
+	t.Helper()
 	works, flights, frames := b.PoolsLive()
-	if works != 0 || flights != 0 || frames != 0 {
-		t.Errorf("broker %d leaked pooled objects after Crash: works=%d flights=%d frames=%d",
-			b.ID(), works, flights, frames)
+	if payloads := b.PayloadsLive(); works != 0 || flights != 0 || frames != 0 || payloads != 0 {
+		t.Errorf("broker %d leaked pooled objects %s: works=%d flights=%d frames=%d payloads=%d",
+			b.ID(), when, works, flights, frames, payloads)
 	}
 }
 
@@ -275,11 +282,7 @@ func assertBrokerClean(t *testing.T, b *Broker) {
 	if g := b.Goroutines(); g != 0 {
 		t.Errorf("broker %d: %d goroutines survived Close", b.ID(), g)
 	}
-	works, flights, frames := b.PoolsLive()
-	if works != 0 || flights != 0 || frames != 0 {
-		t.Errorf("broker %d leaked pooled objects after Close: works=%d flights=%d frames=%d",
-			b.ID(), works, flights, frames)
-	}
+	assertNothingLive(t, b, "after Close")
 }
 
 func TestChaosSoak(t *testing.T) {
@@ -372,7 +375,7 @@ func runChaosSoak(t *testing.T, seed uint64, perPhase uint32) {
 	// race detector everything runs several times slower.
 	waitFor(t, 90*time.Second, "engine pools draining on all brokers", func() bool {
 		for _, b := range o.brokers {
-			if works, flights, frames := b.PoolsLive(); works+flights+frames != 0 {
+			if works, flights, frames := b.PoolsLive(); works+flights+frames+b.PayloadsLive() != 0 {
 				return false
 			}
 		}
@@ -534,11 +537,7 @@ func TestCloseUnderChaosTraffic(t *testing.T) {
 		if g := b.Goroutines(); g != 0 {
 			t.Errorf("broker %d: %d goroutines survived Close", b.ID(), g)
 		}
-		works, flights, frames := b.PoolsLive()
-		if works != 0 || flights != 0 || frames != 0 {
-			t.Errorf("broker %d leaked pooled objects: works=%d flights=%d frames=%d",
-				b.ID(), works, flights, frames)
-		}
+		assertNothingLive(t, b, "after Close")
 	}
 	// Shard-aware shutdown ordering: Close waits for every shard to drain
 	// its mailbox and shut its engine down before tearing connections apart,
@@ -546,10 +545,107 @@ func TestCloseUnderChaosTraffic(t *testing.T) {
 	// in-flight work may resurrect a pooled object after the read.
 	time.Sleep(200 * time.Millisecond)
 	for _, b := range o.brokers {
-		works, flights, frames := b.PoolsLive()
-		if works != 0 || flights != 0 || frames != 0 {
-			t.Errorf("broker %d: pooled objects resurrected after Close: works=%d flights=%d frames=%d",
-				b.ID(), works, flights, frames)
+		assertNothingLive(t, b, "200 ms after Close (resurrected)")
+	}
+}
+
+// TestCloseMidTrafficReleasesEveryPayload closes a 3-broker chain while a
+// publisher is saturating it, twenty times over: every payload reference —
+// in a mailbox, an engine, a queued delivery or a writer queue whose writer
+// has just stopped — must still be released. A message left in a stopped
+// writer's queue is collected all the same, so nothing but PayloadsLive
+// would notice it, and the leak check would go blind.
+func TestCloseMidTrafficReleasesEveryPayload(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		o := pipeChain(t, 3)
+		sub, err := DialSession(o.addrs[2], "sub", 1, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := sub.Subscribe(1, soakTopic, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := sub.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		legacy, err := Dial(o.addrs[2], "legacy-sub")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := legacy.Subscribe(soakTopic, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for range legacy.Receive() {
+			}
+		}()
+		waitForRoute(t, o.brokers[0], soakTopic, 2)
+		pub, err := Dial(o.addrs[0], "pub")
+		if err != nil {
+			t.Fatal(err)
+		}
+		published := make(chan int)
+		go func() {
+			n := 0
+			for pub.Publish(soakTopic, 10*time.Second, []byte("mid-traffic")) == nil {
+				n++
+			}
+			published <- n
+		}()
+		waitFor(t, 10*time.Second, "traffic reaching the far broker", func() bool {
+			return o.brokers[2].Stats().Delivered > 200
+		})
+		// Far end first: the upstream brokers are then mid-send to links and
+		// writers that are going away.
+		for i := len(o.brokers) - 1; i >= 0; i-- {
+			assertBrokerClean(t, o.brokers[i])
+		}
+		_ = pub.Close()
+		if n := <-published; n == 0 {
+			t.Fatal("the publisher never got a packet in")
+		}
+		_ = sub.Close()
+		_ = legacy.Close()
+	}
+}
+
+// TestSendAfterWriterStoppedReleases pins the hand-over rule of
+// connWriter.send: a message enqueued after the writer stopped (the writer
+// has already released what it found and will not look again) is released by
+// the sender, and one refused outright stays the caller's.
+func TestSendAfterWriterStoppedReleases(t *testing.T) {
+	bk, err := New(Config{ID: 1, Listen: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bk.Close()
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	w := newConnWriter(server, 8, nil)
+	newMsg := func() *muxMsg {
+		m := muxMsgPool.Get().(*muxMsg)
+		m.payload = bk.newPayload([]byte("late"))
+		return m
+	}
+
+	w.queue <- newMsg() // enqueued while the writer was alive
+	w.shutdown()
+	w.queue <- newMsg() // the enqueue half of a send that raced the stop
+	w.queued()
+	if n, live := len(w.queue), bk.PayloadsLive(); n != 0 || live != 0 {
+		t.Fatalf("after the sender's re-check: %d messages queued, %d payloads live, want 0 and 0", n, live)
+	}
+
+	m := newMsg()
+	if err := w.send(m); err == nil {
+		t.Fatal("send to a stopped writer succeeded")
+	}
+	if live := bk.PayloadsLive(); live != 1 {
+		t.Fatalf("a refused message must stay the caller's: %d payloads live, want 1", live)
+	}
+	releaseMsg(m)
+	if live := bk.PayloadsLive(); live != 0 {
+		t.Fatalf("%d payloads live after the caller released its message", live)
 	}
 }
