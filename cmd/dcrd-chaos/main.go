@@ -297,8 +297,6 @@ func brokerConfig(id int, addr string, neighbors map[int]string, dataDir string)
 		ID:              id,
 		Listen:          addr,
 		Neighbors:       neighbors,
-		PingInterval:    20 * time.Millisecond,
-		AdvertInterval:  40 * time.Millisecond,
 		DialRetry:       20 * time.Millisecond,
 		DialRetryMax:    250 * time.Millisecond,
 		AckGuard:        40 * time.Millisecond,

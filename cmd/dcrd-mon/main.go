@@ -88,13 +88,11 @@ func printStats(out io.Writer, r *wire.StatsReply) {
 				n.ID, state, n.Alpha.Round(10*time.Microsecond), n.Gamma)
 		}
 	}
-	if r.Ctrl.Enabled {
-		fmt.Fprintf(out, "ctrl: epoch %d, db version %d, rebuilds %d (noops %d, tables built %d)\n",
-			r.Ctrl.Epoch, r.Ctrl.Version, r.Ctrl.Rebuilds, r.Ctrl.Noops, r.Ctrl.TablesBuilt)
-		fmt.Fprintf(out, "  link-state sent %d recv %d (stale %d), probes sent %d replied %d\n",
-			r.Ctrl.LinkStatesSent, r.Ctrl.LinkStatesRecv, r.Ctrl.StaleDrops,
-			r.Ctrl.ProbesSent, r.Ctrl.ProbeReplies)
-	}
+	fmt.Fprintf(out, "ctrl: epoch %d, db version %d, rebuilds %d (noops %d, tables built %d)\n",
+		r.Ctrl.Epoch, r.Ctrl.Version, r.Ctrl.Rebuilds, r.Ctrl.Noops, r.Ctrl.TablesBuilt)
+	fmt.Fprintf(out, "  link-state sent %d recv %d (stale %d), probes sent %d replied %d\n",
+		r.Ctrl.LinkStatesSent, r.Ctrl.LinkStatesRecv, r.Ctrl.StaleDrops,
+		r.Ctrl.ProbesSent, r.Ctrl.ProbeReplies)
 	if len(r.Links) > 0 {
 		fmt.Fprintln(out, "links (gossiped estimates, directed):")
 		for _, l := range r.Links {

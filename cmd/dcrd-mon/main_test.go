@@ -58,7 +58,7 @@ func TestPrintStatsFull(t *testing.T) {
 			{Topic: 7, Sub: 2, D: 30 * time.Millisecond, R: 0.97, ListLen: 2},
 		},
 		Ctrl: wire.CtrlStat{
-			Enabled: true, Epoch: 41, Version: 19, Rebuilds: 7, Noops: 30,
+			Epoch: 41, Version: 19, Rebuilds: 7, Noops: 30,
 			TablesBuilt: 21, LinkStatesSent: 88, LinkStatesRecv: 90,
 			StaleDrops: 2, ProbesSent: 14, ProbeReplies: 13,
 		},

@@ -68,8 +68,6 @@ func run() error {
 			ID:              i,
 			Listen:          addrs[i],
 			Neighbors:       neighbors[i],
-			PingInterval:    50 * time.Millisecond,
-			AdvertInterval:  100 * time.Millisecond,
 			DialRetry:       50 * time.Millisecond,
 			AckGuard:        30 * time.Millisecond,
 			DefaultDeadline: deadline,
@@ -100,7 +98,7 @@ func run() error {
 	}
 	defer pub.Close()
 
-	// Let Algorithm 1's adverts converge before publishing.
+	// Let the link-state control plane converge before publishing.
 	time.Sleep(500 * time.Millisecond)
 
 	received := 0

@@ -210,26 +210,17 @@ func BuildFromSnapshot(g *topology.Graph, snap *Snapshot, sub int, budget []time
 		Budget:     append([]time.Duration(nil), budget...),
 	}
 	// Triple-buffered Jacobi iteration: cur holds the previous round's
-	// parameters, next receives this round's, prev2 the round before cur
-	// (for limit-cycle detection). Per-node list buffers are sized to the
-	// degree once and rewritten when a node is recomputed; the last
-	// recomputation's contents become the table's sending lists.
+	// parameters, next receives this round's, prev2 the round before cur.
+	// Every round recomputes every node into per-node list buffers sized to
+	// its degree once; the last round's contents become the table's sending
+	// lists.
 	//
-	// Two transformations make the iteration cheap without changing one
-	// output bit relative to the plain full-sweep loop:
-	//
-	//  1. Worklist rounds. A node's update is a pure function of its
-	//     neighbors' parameters, so a node none of whose neighbors changed
-	//     in the previous round provably reproduces its current value and
-	//     is skipped. The per-round changed set therefore exactly matches
-	//     the full sweep's, round for round.
-	//  2. Period-2 cycle detection. Near-ties can flicker forever between
-	//     two states one nanosecond apart (float math under D's integer
-	//     rounding); a full sweep would burn the whole MaxRounds cap and
-	//     emit whichever phase the cap's parity lands on. Once the state
-	//     returns to the state two rounds ago, the remaining trajectory is
-	//     a proven alternation, so the build stops immediately and keeps
-	//     the phase the capped sweep would have kept.
+	// Period-2 cycle detection: near-ties can flicker forever between two
+	// states one nanosecond apart (float math under D's integer rounding); a
+	// plain loop would burn the whole MaxRounds cap and emit whichever phase
+	// the cap's parity lands on. Once next equals prev2 and differs from cur,
+	// the remaining trajectory is a proven alternation, so the build stops
+	// and keeps the phase the capped loop would have kept.
 	cur := make([]DR, n)
 	next := make([]DR, n)
 	prev2 := make([]DR, n)
@@ -237,12 +228,6 @@ func BuildFromSnapshot(g *topology.Graph, snap *Snapshot, sub int, budget []time
 		cur[x] = Unreachable()
 	}
 	cur[sub] = DR{D: 0, R: 1}
-	// changedPrev/changedNow list the nodes whose parameters changed in
-	// the previous/current round; needs[x] is a round-stamped mark that x
-	// must be recomputed this round.
-	changedPrev := make([]int, 0, n)
-	changedNow := make([]int, 0, n)
-	needs := make([]int, n)
 	idsBuf := make([][]int, n)
 	viaBuf := make([][]DR, n)
 	for x := 0; x < n; x++ {
@@ -252,52 +237,26 @@ func BuildFromSnapshot(g *topology.Graph, snap *Snapshot, sub int, budget []time
 		idsBuf[x] = make([]int, 0, g.Degree(x))
 		viaBuf[x] = make([]DR, 0, g.Degree(x))
 	}
-	// round runs one Jacobi round: the first recomputes every node (no
-	// previous changed set exists), later ones only the nodes marked in
-	// needs. Returns whether any parameter changed and whether the state
-	// provably entered a period-2 cycle.
-	round := func() (anyChanged, cycle bool) {
+	// round runs one Jacobi round over every node and reports whether any
+	// parameter changed and whether the state entered a period-2 cycle
+	// (prev2 is valid from round 2 on).
+	round := func() (changed, cycle bool) {
 		t.Rounds++
-		copy(next, cur)
-		changedNow = changedNow[:0]
-		// cycle stays true only while every change this round returns to
-		// the value of two rounds ago (prev2 is valid from round 2 on).
+		next[sub] = cur[sub]
 		cycle = t.Rounds >= 2
 		for x := 0; x < n; x++ {
-			if x == sub || (t.Rounds > 1 && needs[x] != t.Rounds) {
+			if x == sub {
 				continue
 			}
 			ids, via := admit(g, x, cur, snap.linkDR, n, t.Budget[x], idsBuf[x][:0], viaBuf[x][:0])
 			idsBuf[x], viaBuf[x] = ids, via
 			opts.Ordering.sortList(via, ids)
 			next[x] = Combine(via)
-			if next[x] != cur[x] {
-				changedNow = append(changedNow, x)
-				if next[x] != prev2[x] {
-					cycle = false
-				}
-			}
-		}
-		anyChanged = len(changedNow) > 0
-		if cycle {
-			// The state equals the state two rounds ago only if every node
-			// out of this round's changed set also sat still last round.
-			for _, x := range changedPrev {
-				if next[x] == cur[x] {
-					cycle = false
-					break
-				}
-			}
-		}
-		// Mark next round's work: neighbors of every changed node.
-		for _, x := range changedNow {
-			for _, e := range g.Neighbors(x) {
-				needs[e.To] = t.Rounds + 1
-			}
+			changed = changed || next[x] != cur[x]
+			cycle = cycle && next[x] == prev2[x]
 		}
 		prev2, cur, next = cur, next, prev2
-		changedPrev, changedNow = changedNow, changedPrev
-		return anyChanged, cycle
+		return changed, cycle && changed
 	}
 
 	for t.Rounds < opts.MaxRounds {

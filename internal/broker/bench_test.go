@@ -38,8 +38,6 @@ func benchConfig(id int, addr string, neighbors map[int]string) Config {
 		Neighbors:       neighbors,
 		M:               2,
 		AckGuard:        500 * time.Millisecond,
-		PingInterval:    100 * time.Millisecond,
-		AdvertInterval:  200 * time.Millisecond,
 		DialRetry:       50 * time.Millisecond,
 		DefaultDeadline: 10 * time.Second,
 	}
@@ -149,9 +147,7 @@ func benchWaitRoute(b *testing.B, bk *Broker, topic, sub int32) {
 	b.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		bk.mu.Lock()
-		ok := len(bk.sendingListLocked(topic, sub)) > 0
-		bk.mu.Unlock()
+		ok := len(ctrlList(bk, topic, sub)) > 0
 		if ok {
 			return
 		}

@@ -3,12 +3,12 @@
 // lists as parallel work (§V). Each broker:
 //
 //   - maintains persistent connections to its configured overlay neighbors,
-//   - measures per-link alpha by pinging and tracks a gamma estimate from
-//     hop-by-hop ACK outcomes,
-//   - runs Algorithm 1 as a real distributed protocol: <d, r> parameter
-//     advertisements flow between neighbors whenever estimates change, and
-//     every broker keeps a Theorem-1-ordered sending list per
-//     (topic, subscriber-broker) pair,
+//   - measures per-link alpha from probe echoes and DATA→ACK round trips and
+//     tracks a gamma estimate from hop-by-hop ACK outcomes,
+//   - floods its link estimates and its topic membership to the whole
+//     overlay as LINK_STATE records, and runs Algorithm 1 over the resulting
+//     link-state database: every broker derives the same Theorem-1-ordered
+//     sending list per (topic, subscriber-broker) pair (controlplane.go),
 //   - forwards published messages with Algorithm 2: hop-by-hop ACKs,
 //     m transmissions per neighbor, failover to the next sending-list entry
 //     and rerouting to the upstream broker recorded in the packet's path,
@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/algo1"
 	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -51,11 +50,10 @@ type Config struct {
 	M int
 	// AckGuard pads the ACK timeout beyond the measured round trip.
 	AckGuard time.Duration
-	// PingInterval is how often links are probed for alpha.
+	// PingInterval is the idle-link probe threshold: a link whose gamma has
+	// had no delivery signal (ACK outcome or probe echo) for this long gets a
+	// PROBE at the next control step (default 500ms).
 	PingInterval time.Duration
-	// AdvertInterval is how often parameters are re-advertised even
-	// without changes (repairs lost adverts).
-	AdvertInterval time.Duration
 	// DialRetry is the base back-off between reconnect attempts to a
 	// neighbor; consecutive failures back off exponentially (with jitter)
 	// from this base up to DialRetryMax, resetting on a successful attach.
@@ -95,16 +93,12 @@ type Config struct {
 	// ACK timeout (2*alpha + AckGuard), or delayed ACKs would read as link
 	// loss; the default sits 20x under the default AckGuard alone.
 	AckFlushInterval time.Duration
-	// DisableLinkState turns off the gossiped link-state control plane: the
-	// broker neither advertises wire.CapLinkState in its Hello nor emits
-	// LinkState/Probe frames, and routing falls back to the advert-only
-	// <d, r> plane. Like relay batching it is on by default and negotiated
-	// per link, so mixed overlays with legacy brokers need no configuration.
-	DisableLinkState bool
-	// LinkStateInterval paces the control loop: local estimates are
-	// re-flooded, idle links probed and route tables rebuilt
-	// at this cadence (default 100ms). This is the live monitoring window —
-	// a link death re-sorts sending lists within roughly one interval.
+	// LinkStateInterval paces the control loop: local estimates and
+	// membership are re-flooded, idle links probed and route tables rebuilt
+	// at this cadence (default 100ms), and sooner whenever something kicks
+	// the loop (attach, detach, first alpha sample, gossip that changed the
+	// database, subscription churn). This is the live monitoring window —
+	// estimate drift re-sorts sending lists within roughly one interval.
 	LinkStateInterval time.Duration
 	// DefaultDeadline applies to publishes that do not carry a deadline.
 	DefaultDeadline time.Duration
@@ -145,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PingInterval <= 0 {
 		c.PingInterval = 500 * time.Millisecond
-	}
-	if c.AdvertInterval <= 0 {
-		c.AdvertInterval = time.Second
 	}
 	if c.DialRetry <= 0 {
 		c.DialRetry = 250 * time.Millisecond
@@ -218,21 +209,19 @@ type Broker struct {
 	// still has a reference to.
 	payloadsLive atomic.Int64
 
-	// routesSnap/subsSnap are the copy-on-write control-plane snapshots the
-	// data plane reads lock-free: rebuilt under b.mu whenever routes or
-	// local subscriptions change, swapped in atomically.
-	routesSnap atomic.Pointer[routeSnapshot]
-	subsSnap   atomic.Pointer[subsSnapshot]
+	// subsSnap is the copy-on-write view of the local subscriptions the
+	// data plane reads lock-free: rebuilt under b.mu whenever they change,
+	// swapped in atomically.
+	subsSnap atomic.Pointer[subsSnapshot]
 
-	// ctrl is the gossiped link-state control plane (controlplane.go); nil
-	// with Config.DisableLinkState. ctrlSnap is its copy-on-write sending
-	// lists, consulted by the data plane before the advert-plane snapshot.
+	// ctrl is the gossiped link-state control plane (controlplane.go).
+	// ctrlSnap is its copy-on-write output: the sending lists and every
+	// topic's destination brokers, published together.
 	ctrl     *ctrlPlane
 	ctrlSnap atomic.Pointer[ctrlSnapshot]
 
-	// mu guards the cold-path control state below: client registry,
-	// subscription and routing tables (the data plane reads them only
-	// through the snapshots above).
+	// mu guards the cold-path control state below: client registry and
+	// subscription ledger (the data plane reads them only through subsSnap).
 	mu      sync.Mutex
 	clients map[*clientConn]struct{}
 	// topics is the per-topic subscription ledger: legacy per-connection
@@ -241,9 +230,7 @@ type Broker struct {
 	// dirtySubs queues topics whose immutable ledger must be rebuilt into
 	// the next subsSnapshot (see flushSubsLocked).
 	dirtySubs map[int32]struct{}
-	// routes[(topic, subscriberBroker)] = distributed routing state
-	routes map[routeKey]*routeState
-	closed bool
+	closed    bool
 
 	// subsKick nudges the session-churn snapshot flusher (buffered 1).
 	subsKick chan struct{}
@@ -286,16 +273,6 @@ type Broker struct {
 	relayBytesSaved    atomic.Uint64
 }
 
-// routeSnapshot is the data plane's immutable view of the Algorithm-1
-// routing state: Theorem-1 sending lists per (topic, subscriber broker) and
-// the sorted destination set per topic for publishes. Rebuilt by
-// recomputeAndAdvertise; the contained slices are never mutated after the
-// snapshot is published.
-type routeSnapshot struct {
-	lists        map[routeKey][]int
-	destsByTopic map[int32][]int
-}
-
 // subsSnapshot is the data plane's immutable view of the local
 // subscriptions: one materialized delivery ledger per topic (edge.go).
 type subsSnapshot struct {
@@ -305,20 +282,6 @@ type subsSnapshot struct {
 type routeKey struct {
 	topic int32
 	sub   int32
-}
-
-// routeState is the per-(topic, subscriber broker) routing state of
-// Algorithm 1: the latest neighbor parameters, this broker's own <d, r>,
-// and the Theorem-1 sending list.
-type routeState struct {
-	deadline time.Duration
-	// params[neighborID] is the neighbor's advertised <d, r>.
-	params map[int]algo1.DR
-	own    algo1.DR
-	list   []int
-	// advertised is the last value shared with neighbors.
-	advertised algo1.DR
-	haveAdv    bool
 }
 
 // New validates the configuration and prepares a broker (not yet listening).
@@ -344,7 +307,6 @@ func New(cfg Config) (*Broker, error) {
 		clients:   make(map[*clientConn]struct{}),
 		topics:    make(map[int32]*topicSubs),
 		dirtySubs: make(map[int32]struct{}),
-		routes:    make(map[routeKey]*routeState),
 		epoch:     time.Now(),
 		done:      make(chan struct{}),
 		subsKick:  make(chan struct{}, 1),
@@ -354,8 +316,8 @@ func New(cfg Config) (*Broker, error) {
 	for id := range cfg.Neighbors {
 		b.neighbors[id] = newNeighborConn(id)
 	}
-	b.routesSnap.Store(&routeSnapshot{})
 	b.subsSnap.Store(&subsSnapshot{})
+	b.ctrlSnap.Store(&ctrlSnapshot{})
 	// A restarted broker must not reuse frame or packet IDs its previous
 	// incarnation put on the wire recently: peers retain both in dedup
 	// state for up to 2×MaxLifetime, and a collision would silently swallow
@@ -397,12 +359,10 @@ func New(cfg Config) (*Broker, error) {
 	// SessionSub frames may arrive over pipe connections before a listener
 	// exists, and their deferred snapshot publishes need a running flusher.
 	b.goTracked(func() { b.subsFlusher() })
-	if !cfg.DisableLinkState {
-		b.ctrl = newCtrlPlane(b)
-		// The control loop starts with the broker for the same reason the
-		// shards do: pipe-attached tests gossip before a listener exists.
-		b.goTracked(func() { b.ctrl.loop() })
-	}
+	// The control loop starts with the broker for the same reason the
+	// shards do: pipe-attached tests gossip before a listener exists.
+	b.ctrl = newCtrlPlane(b)
+	b.goTracked(func() { b.ctrl.loop() })
 	// Replay goes last: the recovered flights are ordinary mailbox work and
 	// need running shards. Links are still down at this point, so replayed
 	// sends fail over (and, in Persistent mode, hold) until neighbors attach.
@@ -485,7 +445,7 @@ func (b *Broker) Addr() string {
 }
 
 // Start binds the listener, launches the accept loop and begins dialing
-// neighbors and probing links.
+// neighbors.
 func (b *Broker) Start() error {
 	ln, err := net.Listen("tcp", b.cfg.Listen)
 	if err != nil {
@@ -507,8 +467,6 @@ func (b *Broker) StartListener(ln net.Listener) error {
 			b.goTracked(func() { b.dialLoop(id, addr) })
 		}
 	}
-	b.goTracked(func() { b.pingLoop() })
-	b.goTracked(func() { b.advertLoop() })
 	return nil
 }
 
@@ -580,9 +538,9 @@ type Stats struct {
 	AckBatches         uint64 // AckBatch frames sent to neighbors
 	AckFramesCoalesced uint64 // legacy Ack frames those batches replaced
 	RelayBytesSaved    uint64 // encoded bytes saved vs legacy relay framing
-	// Ctrl reports the gossiped link-state control plane (zeros with
-	// Config.DisableLinkState); Links is its database's current per-link
-	// EWMA estimates with each origin's last gossip epoch.
+	// Ctrl reports the gossiped link-state control plane; Links is its
+	// database's current per-link EWMA estimates with each origin's last
+	// gossip epoch.
 	Ctrl  wire.CtrlStat
 	Links []wire.LinkStat
 	// Wal reports the crash-durable custody journal (Enabled false and
@@ -663,6 +621,7 @@ func (b *Broker) statsReply(token uint64) *wire.StatsReply {
 	}
 	reply.Ctrl, reply.Links = b.ctrlStats()
 	reply.Wal = b.walStat()
+	reply.Routes = b.ctrlSnap.Load().routes
 
 	// Per-shard stats: a barrier run gives an on-shard view (mailbox depth
 	// plus the engine's in-flight group count); if the broker is shutting
@@ -682,8 +641,6 @@ func (b *Broker) statsReply(token uint64) *wire.StatsReply {
 	}
 	reply.Shards = shardStats
 
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	ids := make([]int, 0, len(b.neighbors))
 	for id := range b.neighbors {
 		ids = append(ids, id)
@@ -697,26 +654,6 @@ func (b *Broker) statsReply(token uint64) *wire.StatsReply {
 			Connected: nc.connected(),
 			Alpha:     alpha,
 			Gamma:     gamma,
-		})
-	}
-	keys := make([]routeKey, 0, len(b.routes))
-	for key := range b.routes {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].topic != keys[j].topic {
-			return keys[i].topic < keys[j].topic
-		}
-		return keys[i].sub < keys[j].sub
-	})
-	for _, key := range keys {
-		rs := b.routes[key]
-		reply.Routes = append(reply.Routes, wire.RouteStat{
-			Topic:   key.topic,
-			Sub:     key.sub,
-			D:       rs.own.D,
-			R:       rs.own.R,
-			ListLen: int32(len(rs.list)),
 		})
 	}
 	return reply

@@ -49,8 +49,6 @@ func newOverlayConfig(t *testing.T, n int, links [][2]int, mutate func(*Config))
 			ID:              i,
 			Listen:          addrs[i],
 			Neighbors:       neighbors[i],
-			PingInterval:    20 * time.Millisecond,
-			AdvertInterval:  30 * time.Millisecond,
 			DialRetry:       20 * time.Millisecond,
 			AckGuard:        30 * time.Millisecond,
 			DefaultDeadline: 2 * time.Second,
@@ -156,10 +154,7 @@ func TestTwoBrokerDelivery(t *testing.T) {
 	}
 	// Wait for broker 0 to learn a route to (7, broker 1).
 	waitFor(t, 3*time.Second, "route propagation", func() bool {
-		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(7, 1)) > 0
+		return len(ctrlList(o.brokers[0], 7, 1)) > 0
 	})
 	pub, err := Dial(o.addrs[0], "pub")
 	if err != nil {
@@ -190,10 +185,7 @@ func TestLineDeliveryAcrossRelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "route at broker 0", func() bool {
-		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(3, 2)) > 0
+		return len(ctrlList(o.brokers[0], 3, 2)) > 0
 	})
 	pub, err := Dial(o.addrs[0], "pub")
 	if err != nil {
@@ -235,11 +227,8 @@ func TestFanoutToMultipleSubscriberBrokers(t *testing.T) {
 		subs = append(subs, c)
 	}
 	waitFor(t, 3*time.Second, "all routes at broker 0", func() bool {
-		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
 		for i := int32(1); i <= 3; i++ {
-			if len(b.sendingListLocked(9, i)) == 0 {
+			if len(ctrlList(o.brokers[0], 9, i)) == 0 {
 				return false
 			}
 		}
@@ -274,10 +263,7 @@ func TestFailoverAroundDeadBroker(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "both routes at broker 0", func() bool {
-		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(5, 3)) >= 2
+		return len(ctrlList(o.brokers[0], 5, 3)) >= 2
 	})
 	pub, err := Dial(o.addrs[0], "pub")
 	if err != nil {
@@ -349,10 +335,7 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "route", func() bool {
-		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(1, 1)) > 0
+		return len(ctrlList(o.brokers[0], 1, 1)) > 0
 	})
 	pub, err := Dial(o.addrs[0], "pub")
 	if err != nil {
@@ -386,10 +369,7 @@ func TestStatsRequestReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "route", func() bool {
-		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(3, 1)) > 0
+		return len(ctrlList(o.brokers[0], 3, 1)) > 0
 	})
 	mon, err := Dial(o.addrs[0], "mon")
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/algo1"
 	"repro/internal/wire"
 )
 
@@ -90,8 +89,8 @@ func (w *connWriter) kick() {
 // send enqueues one message for the writer. A full queue is given a brief
 // grace period (backpressure) and then the message is dropped with
 // errSendQueueFull; the connection itself stays up — Algorithm 2's
-// retransmit machinery covers dropped data frames, and pings/adverts are
-// periodic anyway. On nil the message belongs to the writer, which releases
+// retransmit machinery covers dropped data frames, and probes and floods
+// are periodic anyway. On nil the message belongs to the writer, which releases
 // it (releaseMsg); on an error it is still the caller's.
 func (w *connWriter) send(msg wire.Message) error {
 	select {
@@ -274,6 +273,9 @@ func (b *Broker) appendFrameChecked(buf []byte, label string, msg wire.Message) 
 // neighborConn is the broker's view of one overlay link: the TCP connection
 // (owned by the lower-ID side) with its writer pipeline, the measured alpha
 // (EWMA of RTT/2) and the adaptive gamma estimate driven by ACK outcomes.
+// alpha means nothing until sampled is set: the first round trip replaces
+// it outright, and until then the link stays out of this broker's
+// LINK_STATE records, so no route table can use it.
 type neighborConn struct {
 	id int
 
@@ -282,8 +284,8 @@ type neighborConn struct {
 	w        *connWriter
 	attaches int
 	alpha    time.Duration
+	sampled  bool
 	gamma    float64
-	lastPing map[uint64]time.Time
 
 	// Relay-plane aggregation state (see relay.go). peerBatch records
 	// whether the currently attached peer advertised wire.CapRelayBatch in
@@ -295,25 +297,21 @@ type neighborConn struct {
 	pendingAcks   []uint64
 	ackFlushTimer *time.Timer
 
-	// Control-plane state (see controlplane.go). peerLinkState mirrors
-	// peerBatch for wire.CapLinkState. The fields below are guarded by mu:
+	// Control-plane state (see controlplane.go), guarded by mu:
 	// probeTok/probeAt track the single outstanding PROBE on this link,
 	// gammaAt is the last time any delivery signal (ACK outcome or probe
 	// echo) updated gamma, and dataSend maps sampled outbound frame IDs to
 	// send times for ACK-derived alpha samples (dataStaleAt: the earliest
 	// instant one of them can be a second old, see noteDataSend).
-	peerLinkState atomic.Bool
-	probeTok      uint64
-	probeAt       time.Time
-	gammaAt       time.Time
-	dataSend      map[uint64]time.Time
-	dataStaleAt   time.Time
+	probeTok    uint64
+	probeAt     time.Time
+	gammaAt     time.Time
+	dataSend    map[uint64]time.Time
+	dataStaleAt time.Time
 }
 
 // Link-estimate tuning.
 const (
-	// initialAlpha is assumed until the first pong arrives.
-	initialAlpha = 20 * time.Millisecond
 	// initialGamma is the optimistic starting delivery-ratio estimate.
 	initialGamma = 0.99
 	// gammaFloor keeps a dead link's estimate from reaching exactly zero so
@@ -323,26 +321,44 @@ const (
 	alphaWeight = 0.3
 	gammaUp     = 0.05 // gain per successful ACK
 	gammaDown   = 0.5  // multiplicative decay per timeout
-
-	// maxPingTokens bounds lastPing against lost pongs; on overflow the
-	// oldest half is evicted.
-	maxPingTokens = 64
 )
 
 func newNeighborConn(id int) *neighborConn {
-	return &neighborConn{
-		id:       id,
-		alpha:    initialAlpha,
-		gamma:    initialGamma,
-		lastPing: make(map[uint64]time.Time),
-	}
+	return &neighborConn{id: id, gamma: initialGamma}
 }
 
-// estimate returns the current <alpha, gamma> for the link.
+// estimate returns the current <alpha, gamma> for the link; alpha is zero
+// until the first sample.
 func (nc *neighborConn) estimate() (time.Duration, float64) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	return nc.alpha, nc.gamma
+}
+
+// record renders the link as one of this broker's LINK_STATE records. ok is
+// false while the link is down or has no alpha sample yet.
+func (nc *neighborConn) record() (r wire.LinkRecord, ok bool) {
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	return wire.LinkRecord{To: int32(nc.id), Alpha: nc.alpha, Gamma: nc.gamma}, nc.conn != nil && nc.sampled
+}
+
+// sampleAlphaLocked folds one round trip into alpha (RTT/2): the first
+// sample replaces the unmeasured zero, later ones move the EWMA. It reports
+// whether this was the first, which the caller answers by kicking the
+// control loop so the link joins the flooded records at once. Caller holds
+// nc.mu.
+func (nc *neighborConn) sampleAlphaLocked(rtt time.Duration) (first bool) {
+	sample := rtt / 2
+	if sample <= 0 {
+		sample = time.Millisecond / 2
+	}
+	if !nc.sampled {
+		nc.alpha, nc.sampled = sample, true
+		return true
+	}
+	nc.alpha = time.Duration((1-alphaWeight)*float64(nc.alpha) + alphaWeight*float64(sample))
+	return false
 }
 
 // connected reports whether a live TCP connection is attached.
@@ -380,7 +396,10 @@ func (nc *neighborConn) attach(b *Broker, conn net.Conn) {
 			b.ctrl.kickCtrl()
 		})
 	})
-	b.ctrl.kickCtrl()
+	// The new peer gets this broker's whole database (and a prompt control
+	// step), so a restarted broker converges without waiting out every
+	// origin's refresh.
+	b.ctrl.syncTo(nc)
 	// A dial or inbound handshake that completes while Close is tearing
 	// links down can install this connection after Close's pass over
 	// b.neighbors — nothing would ever close it and Close would wait on its
@@ -436,46 +455,6 @@ func (nc *neighborConn) send(msg wire.Message) error {
 	return w.send(msg)
 }
 
-// recordPing remembers an outgoing ping token.
-func (nc *neighborConn) recordPing(token uint64, at time.Time) {
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
-	nc.lastPing[token] = at
-	// Bound the token map against lost pongs, evicting oldest-first so the
-	// most recent in-flight pings (whose pongs are still expected) survive.
-	if len(nc.lastPing) > maxPingTokens {
-		for len(nc.lastPing) > maxPingTokens/2 {
-			var oldestTok uint64
-			var oldestAt time.Time
-			first := true
-			for t, sent := range nc.lastPing {
-				if first || sent.Before(oldestAt) {
-					oldestTok, oldestAt, first = t, sent, false
-				}
-			}
-			delete(nc.lastPing, oldestTok)
-		}
-	}
-}
-
-// recordPong folds an RTT sample into alpha. It reports whether the token
-// was known.
-func (nc *neighborConn) recordPong(token uint64, now time.Time) bool {
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
-	sent, ok := nc.lastPing[token]
-	if !ok {
-		return false
-	}
-	delete(nc.lastPing, token)
-	sample := now.Sub(sent) / 2
-	if sample <= 0 {
-		sample = time.Millisecond / 2
-	}
-	nc.alpha = time.Duration((1-alphaWeight)*float64(nc.alpha) + alphaWeight*float64(sample))
-	return true
-}
-
 // ackSucceeded nudges gamma up after a timely ACK.
 func (nc *neighborConn) ackSucceeded() {
 	nc.mu.Lock()
@@ -505,12 +484,18 @@ func (nc *neighborConn) gammaSignalAt() time.Time {
 	return nc.gammaAt
 }
 
-// probeState returns the outstanding probe token (0 = none) and its send
-// time.
-func (nc *neighborConn) probeState() (uint64, time.Time) {
+// probeState returns the outstanding probe token (0 = none), its send time
+// and how long it is given: 2·alpha + guard, like an ACK, once alpha is
+// measured. A first probe has no round trip to be timed against, and
+// expiring it early would only delay the link's first sample by another
+// idle period, so it is given the unmeasured wait (the idle threshold).
+func (nc *neighborConn) probeState(guard, unmeasured time.Duration) (uint64, time.Time, time.Duration) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
-	return nc.probeTok, nc.probeAt
+	if !nc.sampled {
+		return nc.probeTok, nc.probeAt, unmeasured
+	}
+	return nc.probeTok, nc.probeAt, 2*nc.alpha + guard
 }
 
 // probeStart records one outgoing probe; at most one is ever outstanding.
@@ -532,32 +517,29 @@ func (nc *neighborConn) probeExpire(token uint64) bool {
 	return true
 }
 
-// probeReply folds a probe echo into the link estimate: alpha from RTT/2,
-// gamma nudged up like a successful ACK. It reports whether the token
-// matched the outstanding probe.
-func (nc *neighborConn) probeReply(token uint64, now time.Time) bool {
+// probeReply folds a probe echo into the link estimate: an alpha sample
+// from the round trip, gamma nudged up like a successful ACK. matched
+// reports whether the token was the outstanding probe's, first whether the
+// echo was the link's first alpha sample.
+func (nc *neighborConn) probeReply(token uint64, now time.Time) (matched, first bool) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	if token == 0 || nc.probeTok != token {
-		return false
+		return false, false
 	}
 	nc.probeTok = 0
-	sample := now.Sub(nc.probeAt) / 2
-	if sample <= 0 {
-		sample = time.Millisecond / 2
-	}
-	nc.alpha = time.Duration((1-alphaWeight)*float64(nc.alpha) + alphaWeight*float64(sample))
+	first = nc.sampleAlphaLocked(now.Sub(nc.probeAt))
 	nc.gamma += gammaUp * (1 - nc.gamma)
 	if nc.gamma > 1 {
 		nc.gamma = 1
 	}
 	nc.gammaAt = now
-	return true
+	return true, first
 }
 
 // noteDataSend samples one outbound data frame's send time so its
 // hop-by-hop ACK can feed alpha — real traffic measures the link, probes
-// and pings only fill the gaps. Sampling is bounded: at most
+// only fill the gaps. Sampling is bounded: at most
 // maxDataSamples frames are tracked, with entries older than a second
 // (ACKs lost) evicted to keep sampling alive on lossy links. A busy link
 // keeps the map full, so the sweep runs only once something can have aged
@@ -590,22 +572,18 @@ func (nc *neighborConn) noteDataSend(frameID uint64, now time.Time) {
 }
 
 // noteDataAck folds a returning ACK's round trip into alpha when the frame
-// was sampled. The sample includes the peer's ACK-coalescing delay, which
-// sits far inside the measurement tolerance (AckFlushInterval defaults to
-// 1ms against a 20ms-scale alpha).
-func (nc *neighborConn) noteDataAck(frameID uint64, now time.Time) {
+// was sampled, reporting whether it was the link's first alpha sample. The
+// sample includes the peer's ACK-coalescing delay (AckFlushInterval, 1ms by
+// default), which sits inside the re-flood tolerance.
+func (nc *neighborConn) noteDataAck(frameID uint64, now time.Time) (first bool) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	sent, ok := nc.dataSend[frameID]
 	if !ok {
-		return
+		return false
 	}
 	delete(nc.dataSend, frameID)
-	sample := now.Sub(sent) / 2
-	if sample <= 0 {
-		sample = time.Millisecond / 2
-	}
-	nc.alpha = time.Duration((1-alphaWeight)*float64(nc.alpha) + alphaWeight*float64(sample))
+	return nc.sampleAlphaLocked(now.Sub(sent))
 }
 
 // clientConn is one connected publisher/subscriber with its writer pipeline.
@@ -667,21 +645,22 @@ func (b *Broker) handleInbound(conn net.Conn) {
 // The dialer's Hello Name carries its capability tokens; the acceptor
 // records them and replies with its own Hello so the dialer learns this
 // side's capabilities too (legacy dialers log the unexpected HELLO and
-// carry on with the legacy framing).
+// carry on with the legacy framing). The reply is written before attach
+// queues anything, so it is the first frame each way: the dialer knows how
+// this side frames relay traffic before a flood or probe arrives.
 func (b *Broker) handleNeighborConn(id int, name string, conn net.Conn) {
 	if _, known := b.cfg.Neighbors[id]; !known {
 		b.logf("rejecting unknown neighbor %d", id)
 		_ = conn.Close()
 		return
 	}
+	if err := wire.Write(conn, &wire.Hello{BrokerID: int32(b.cfg.ID), Name: b.helloName()}); err != nil {
+		_ = conn.Close()
+		return
+	}
 	nc := b.neighbor(id)
 	nc.attach(b, conn)
 	nc.peerBatch.Store(wire.HasCap(name, wire.CapRelayBatch))
-	nc.peerLinkState.Store(wire.HasCap(name, wire.CapLinkState))
-	_ = nc.send(&wire.Hello{BrokerID: int32(b.cfg.ID), Name: b.helloName()})
-	if nc.linkStateTo(b) {
-		b.ctrl.syncTo(nc)
-	}
 	b.logf("neighbor %d connected (inbound)", id)
 	b.readNeighbor(nc, conn)
 }
@@ -766,25 +745,17 @@ func (b *Broker) readNeighbor(nc *neighborConn, conn net.Conn) {
 // owned by the caller's Reader and recycled after return.
 func (b *Broker) handleNeighborMsg(nc *neighborConn, msg wire.Message) {
 	switch m := msg.(type) {
-	case *wire.Ping:
-		_ = nc.send(&wire.Pong{Token: m.Token})
-	case *wire.Pong:
-		nc.recordPong(m.Token, time.Now())
-	case *wire.Advert:
-		b.handleAdvert(nc.id, m)
 	case *wire.Ack:
-		if b.ctrl != nil {
-			nc.noteDataAck(m.FrameID, time.Now())
+		if nc.noteDataAck(m.FrameID, time.Now()) {
+			b.ctrl.kickCtrl()
 		}
 		b.handleAck(m.FrameID)
 	case *wire.AckBatch:
-		if b.ctrl != nil {
-			now := time.Now()
-			for _, id := range m.FrameIDs {
-				nc.noteDataAck(id, now)
-			}
-		}
+		now := time.Now()
 		for _, id := range m.FrameIDs {
+			if nc.noteDataAck(id, now) {
+				b.ctrl.kickCtrl()
+			}
 			b.handleAck(id)
 		}
 	case *wire.Data:
@@ -801,13 +772,9 @@ func (b *Broker) handleNeighborMsg(nc *neighborConn, msg wire.Message) {
 	case *wire.Probe:
 		b.handleProbe(nc, m)
 	case *wire.Hello:
-		// The acceptor's Hello reply: learn the peer's capabilities (the
-		// dialer's own capability tokens went out with dialLoop's Hello).
+		// The acceptor's Hello reply: learn whether the peer batches relay
+		// frames (the dialer's own token went out with dialLoop's Hello).
 		nc.peerBatch.Store(wire.HasCap(m.Name, wire.CapRelayBatch))
-		nc.peerLinkState.Store(wire.HasCap(m.Name, wire.CapLinkState))
-		if nc.linkStateTo(b) {
-			b.ctrl.syncTo(nc)
-		}
 	default:
 		b.logf("neighbor %d sent unexpected %v", nc.id, msg.Type())
 	}
@@ -837,7 +804,7 @@ func (b *Broker) handleClientConn(name string, conn net.Conn) {
 		// linger in the delivery snapshot for a coalescing window.
 		b.flushSubsLocked()
 		b.mu.Unlock()
-		b.recomputeLocalRoutes()
+		b.ctrl.kickCtrl()
 		c.w.shutdown()
 		_ = conn.Close()
 	}()
@@ -870,40 +837,6 @@ func (b *Broker) handleClientConn(name string, conn net.Conn) {
 	}
 }
 
-// pingLoop probes all connected neighbors for alpha.
-func (b *Broker) pingLoop() {
-	ticker := time.NewTicker(b.cfg.PingInterval)
-	defer ticker.Stop()
-	var token uint64
-	for {
-		select {
-		case <-b.done:
-			return
-		case <-ticker.C:
-		}
-		for _, nc := range b.neighbors {
-			token++
-			nc.recordPing(token, time.Now())
-			_ = nc.send(&wire.Ping{Token: token})
-		}
-	}
-}
-
-// advertLoop periodically re-advertises all parameters (repairing lost
-// adverts and propagating alpha/gamma drift) and re-runs Algorithm 1.
-func (b *Broker) advertLoop() {
-	ticker := time.NewTicker(b.cfg.AdvertInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-b.done:
-			return
-		case <-ticker.C:
-		}
-		b.recomputeAndAdvertise(true)
-	}
-}
-
 // sleepUnlessDone waits d or until done closes; it reports false on done.
 func sleepUnlessDone(done <-chan struct{}, d time.Duration) bool {
 	t := time.NewTimer(d)
@@ -914,14 +847,4 @@ func sleepUnlessDone(done <-chan struct{}, d time.Duration) bool {
 	case <-t.C:
 		return true
 	}
-}
-
-// linkStats adapts neighbor estimates for algo1.BuildTable-style math.
-func (b *Broker) linkStats(id int) algo1.DR {
-	nc, ok := b.neighbors[id]
-	if !ok || !nc.connected() {
-		return algo1.Unreachable()
-	}
-	alpha, gamma := nc.estimate()
-	return algo1.LinkStats(alpha, gamma, b.cfg.M)
 }

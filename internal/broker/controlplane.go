@@ -1,32 +1,36 @@
 package broker
 
-// The live Algorithm-1 control plane: the second shell over the
-// transport-agnostic engine in internal/algo1 (the DES router in
-// internal/core is the first).
+// The live Algorithm-1 control plane, and the broker's only routing plane:
+// the second shell over the transport-agnostic engine in internal/algo1 (the
+// DES router in internal/core is the first).
 //
-// Every broker measures its own links from real traffic — alpha from ping
-// and ACK round trips, gamma from hop-by-hop ACK outcomes, with a low-rate
-// PROBE exchange covering links no data currently crosses — and floods the
-// measured record set to its neighbors as a wire.LinkState frame whenever
-// an estimate moves. Floods carry an origin-local, strictly increasing
-// epoch; receivers drop stale replays, re-flood newer records to their
-// other capable neighbors, and fold the records into a link-state database
-// (linkStateDB) that implements algo1.Deps. Applying a flood diffs it
-// against the origin's previous record set, so the estimate version moves
-// only when the gossip actually changed something: a quiet control epoch
-// is a pointer-identity no-op, and a link death re-sorts the Theorem-1
-// sending lists within about one LinkStateInterval of the flood arriving.
+// Every broker measures its own links from real traffic — alpha from probe
+// echoes and DATA→ACK round trips, gamma from hop-by-hop ACK outcomes, with
+// a low-rate PROBE exchange covering links no data currently crosses — and
+// states its own topic membership: one record per topic with local
+// subscribers. It floods both record sets to its neighbors as one
+// wire.LinkState frame whenever either moves. Floods carry an origin-local,
+// strictly increasing epoch; receivers drop stale replays, re-flood newer
+// records to their other neighbors, and fold the records into a link-state
+// database (linkStateDB) that implements algo1.Deps. Applying a flood diffs
+// it against the origin's previous record set, so the estimate version
+// moves only when the gossip actually changed an estimate: a quiet control
+// epoch is a pointer-identity no-op, and a link death re-sorts the
+// Theorem-1 sending lists within about one LinkStateInterval of the flood
+// arriving. A topic missing from an origin's newer set is a withdraw, and
+// since each broker states only its own membership, nothing is derived from
+// a neighbor's view and nothing can count to infinity.
 //
-// The resulting sending lists are published copy-on-write (ctrlSnapshot)
-// and consulted by the data plane ahead of the advert-plane lists
-// (shardShell.SendingList); destination membership (which brokers
-// subscribe to a topic) stays advert-driven, so a mixed overlay where some
-// brokers never advertise wire.CapLinkState keeps routing exactly as
-// before on the legacy links.
+// The database is the one source of (topic, subscriber broker, deadline)
+// pairs. Each step registers them with the driver, rebuilds, and publishes
+// the sending lists together with every topic's destination brokers as one
+// copy-on-write ctrlSnapshot, which is all the data plane reads
+// (shardShell.SendingList, publishLocal).
 
 import (
+	"cmp"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,10 +46,10 @@ const (
 	// bound here keeps a hostile flood from inflating the overlay graph.
 	ctrlMaxNodeID = 1 << 16
 	// ctrlAlphaTolerance / ctrlGammaTolerance are how far a local estimate
-	// must move before the broker re-floods it (mirrors advertTolerance).
+	// must move before the broker re-floods it.
 	ctrlAlphaTolerance = time.Millisecond
 	ctrlGammaTolerance = 0.01
-	// ctrlRefreshEvery re-floods unchanged local estimates every N control
+	// ctrlRefreshEvery re-floods unchanged local records every N control
 	// intervals anyway, repairing floods lost to link churn.
 	ctrlRefreshEvery = 10
 	// maxDataSamples bounds the per-link map of outbound frame send times
@@ -59,10 +63,12 @@ type ctrlLink struct {
 	gamma float64
 }
 
-// ctrlOrigin is one broker's latest flooded record set.
+// ctrlOrigin is one broker's latest flooded record set: its links and its
+// membership (topic → deadline).
 type ctrlOrigin struct {
-	epoch uint64
-	links map[int32]ctrlLink
+	epoch   uint64
+	links   map[int32]ctrlLink
+	members map[int32]time.Duration
 }
 
 // linkStateDB is the gossip-fed monitoring substrate: each origin's latest
@@ -73,7 +79,8 @@ type ctrlOrigin struct {
 // A crashed broker's own records linger (nobody floods on its behalf), but
 // they are harmless: reaching it requires a live inbound link, and its
 // neighbors withdraw those from their own record sets as soon as the TCP
-// connection drops.
+// connection drops. The same withdrawal retires its membership (see
+// members).
 type linkStateDB struct {
 	mu      sync.Mutex
 	origins map[int32]*ctrlOrigin
@@ -87,23 +94,24 @@ func newLinkStateDB() *linkStateDB {
 	return &linkStateDB{origins: make(map[int32]*ctrlOrigin)}
 }
 
-// apply folds one flood into the database. newer reports whether the epoch
-// advanced (the flood should be re-flooded); changed whether any estimate
-// actually moved (the driver has table work).
-func (db *linkStateDB) apply(origin int32, epoch uint64, recs []wire.LinkRecord) (newer, changed bool) {
+// apply folds one flood into the database; ls must not be mutated
+// afterwards. newer reports whether the epoch advanced (the flood should be
+// re-flooded); changed whether any estimate or membership actually moved
+// (the control loop has work).
+func (db *linkStateDB) apply(ls *wire.LinkState) (newer, changed bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	os := db.origins[origin]
-	if os != nil && epoch <= os.epoch {
+	os := db.origins[ls.Origin]
+	if os != nil && ls.Epoch <= os.epoch {
 		return false, false
 	}
 	if os == nil {
-		os = &ctrlOrigin{links: make(map[int32]ctrlLink)}
-		db.origins[origin] = os
+		os = &ctrlOrigin{}
+		db.origins[ls.Origin] = os
 	}
-	os.epoch = epoch
-	next := make(map[int32]ctrlLink, len(recs))
-	for _, r := range recs {
+	os.epoch = ls.Epoch
+	next := make(map[int32]ctrlLink, len(ls.Links))
+	for _, r := range ls.Links {
 		if r.Gamma <= 0 {
 			continue // an explicit withdrawal: simply absent from the new set
 		}
@@ -128,6 +136,16 @@ func (db *linkStateDB) apply(origin int32, epoch uint64, recs []wire.LinkRecord)
 	if changed {
 		db.version++
 	}
+	// Membership is not an estimate: it changes the pair set, not the
+	// version every pair's table is built from.
+	members := make(map[int32]time.Duration, len(ls.Members))
+	for _, m := range ls.Members {
+		members[m.Topic] = m.Deadline
+	}
+	if !maps.Equal(members, os.members) {
+		changed = true
+	}
+	os.members = members
 	return true, changed
 }
 
@@ -148,12 +166,7 @@ func (db *linkStateDB) buildGraph() *topology.Graph {
 	maxID := -1
 	for o, os := range db.origins {
 		for to := range os.links {
-			if int(o) > maxID {
-				maxID = int(o)
-			}
-			if int(to) > maxID {
-				maxID = int(to)
-			}
+			maxID = max(maxID, int(o), int(to))
 		}
 	}
 	g := topology.NewGraph(maxID + 1)
@@ -166,6 +179,44 @@ func (db *linkStateDB) buildGraph() *topology.Graph {
 		}
 	}
 	return g
+}
+
+// member is one (topic, subscriber broker) pair with its deadline.
+type member struct {
+	key      routeKey
+	deadline time.Duration
+}
+
+// members lists the pairs the overlay currently subscribes, sorted. An
+// origin's membership counts only while some other origin floods a link to
+// it — the evidence buildGraph needs to route to it at all. A closed broker
+// cannot withdraw its own records, but its neighbors withdraw their links to
+// it, and with them it stops being a destination: its lingering topics must
+// not hold every Persistent publish for a full lifetime.
+func (db *linkStateDB) members() []member {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	linked := make(map[int32]bool, len(db.origins))
+	for o, os := range db.origins {
+		for to := range os.links {
+			if to != o {
+				linked[to] = true
+			}
+		}
+	}
+	var out []member
+	for o, os := range db.origins {
+		if !linked[o] {
+			continue
+		}
+		for topic, dl := range os.members {
+			out = append(out, member{routeKey{topic: topic, sub: o}, dl})
+		}
+	}
+	slices.SortFunc(out, func(a, b member) int {
+		return cmp.Or(cmp.Compare(a.key.topic, b.key.topic), cmp.Compare(a.key.sub, b.key.sub))
+	})
+	return out
 }
 
 // EstimateVersion implements algo1.Deps.
@@ -203,39 +254,44 @@ func (db *linkStateDB) linkStats() []wire.LinkStat {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
+	slices.SortFunc(out, func(a, b wire.LinkStat) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
 	return out
 }
 
 // snapshotFloods renders every origin's current record set as LinkState
-// frames — the full-database sync sent to a capable neighbor on attach so
-// a restarted broker converges without waiting out every origin's next
+// frames — the full-database sync sent to a neighbor on attach so a
+// restarted broker converges without waiting out every origin's next
 // refresh.
 func (db *linkStateDB) snapshotFloods() []*wire.LinkState {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	out := make([]*wire.LinkState, 0, len(db.origins))
 	for o, os := range db.origins {
-		ls := &wire.LinkState{Origin: o, Epoch: os.epoch, Links: make([]wire.LinkRecord, 0, len(os.links))}
+		ls := &wire.LinkState{Origin: o, Epoch: os.epoch}
 		for to, l := range os.links {
 			ls.Links = append(ls.Links, wire.LinkRecord{To: to, Alpha: l.alpha, Gamma: l.gamma})
 		}
-		slices.SortFunc(ls.Links, func(a, b wire.LinkRecord) int { return int(a.To) - int(b.To) })
+		for topic, dl := range os.members {
+			ls.Members = append(ls.Members, wire.MemberRecord{Topic: topic, Deadline: dl})
+		}
+		slices.SortFunc(ls.Links, func(a, b wire.LinkRecord) int { return cmp.Compare(a.To, b.To) })
+		slices.SortFunc(ls.Members, func(a, b wire.MemberRecord) int { return cmp.Compare(a.Topic, b.Topic) })
 		out = append(out, ls)
 	}
 	return out
 }
 
-// ctrlSnapshot is the data plane's copy-on-write view of the control
-// plane's Theorem-1 sending lists; the contained slices are table-owned
-// and never mutated after publication.
+// ctrlSnapshot is the data plane's copy-on-write view of the control plane:
+// this broker's Theorem-1 sending list per (topic, subscriber broker) pair,
+// every topic's destination brokers for publishes (sorted, this broker
+// excluded), and each pair's own <d, r> for monitoring. Lists are
+// table-owned; nothing in a snapshot is mutated after publication.
 type ctrlSnapshot struct {
-	lists map[routeKey][]int
+	lists  map[routeKey][]int
+	dests  map[int32][]int
+	routes []wire.RouteStat
 }
 
 // ctrlPlane owns the broker's gossip-fed control state: the link-state
@@ -252,11 +308,12 @@ type ctrlPlane struct {
 	// epoch is this broker's own flood epoch: wall-clock seeded so a
 	// restarted broker's floods always outrank its previous incarnation's,
 	// then incremented per flood.
-	epoch      uint64
-	lastFlood  []wire.LinkRecord
-	sinceFlood int
-	topoVer    uint64 // db.topoVer the driver's graph currently reflects
-	probeTok   uint64 // probe token allocator (control goroutine only)
+	epoch       uint64
+	lastFlood   []wire.LinkRecord
+	lastMembers []wire.MemberRecord
+	sinceFlood  int
+	topoVer     uint64 // db.topoVer the driver's graph currently reflects
+	probeTok    uint64 // probe token allocator (control goroutine only)
 	// budgets caches the uniform deadline vector of every deadline a
 	// current pair uses (syncPairs).
 	budgets map[time.Duration][]time.Duration
@@ -280,12 +337,10 @@ func newCtrlPlane(b *Broker) *ctrlPlane {
 }
 
 // kickCtrl nudges the control loop to run a step ahead of its ticker —
-// after gossip changed an estimate, a capable peer attached, or a link
-// dropped. Best-effort: a pending kick already guarantees a prompt step.
+// after gossip changed the database, a peer attached, a link dropped or got
+// its first alpha sample, or local membership changed. Best-effort: a
+// pending kick already guarantees a prompt step.
 func (c *ctrlPlane) kickCtrl() {
-	if c == nil {
-		return
-	}
 	select {
 	case c.kick <- struct{}{}:
 	default:
@@ -308,15 +363,15 @@ func (c *ctrlPlane) loop() {
 	}
 }
 
-// step runs one control epoch: re-measure and maybe flood the local
-// links, probe idle ones, sync the pair set from the advert plane, rebuild
-// and publish the new sending lists.
+// step runs one control epoch: re-measure and maybe flood the local links
+// and membership, probe idle links, sync the pair set from the database,
+// rebuild and publish the new snapshot.
 func (c *ctrlPlane) step() {
 	now := time.Now()
-	c.floodLocal(now)
+	c.floodLocal()
 	c.probeIdle(now)
-	c.syncPairs()
-	if c.drv.Rebuild() {
+	removed := c.syncPairs()
+	if rebuilt := c.drv.Rebuild(); rebuilt || removed {
 		c.publish()
 	}
 	st := c.drv.Stats()
@@ -326,24 +381,34 @@ func (c *ctrlPlane) step() {
 	c.tablesA.Store(st.TablesBuilt)
 }
 
-// localRecords measures this broker's connected links, sorted by neighbor.
+// localRecords measures this broker's connected, sampled links, sorted by
+// neighbor.
 func (c *ctrlPlane) localRecords() []wire.LinkRecord {
-	b := c.b
-	ids := make([]int, 0, len(b.neighbors))
-	for id := range b.neighbors {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	recs := make([]wire.LinkRecord, 0, len(ids))
-	for _, id := range ids {
-		nc := b.neighbors[id]
-		if !nc.connected() {
-			continue
+	recs := make([]wire.LinkRecord, 0, len(c.b.neighbors))
+	for _, nc := range c.b.neighbors {
+		if r, ok := nc.record(); ok {
+			recs = append(recs, r)
 		}
-		alpha, gamma := nc.estimate()
-		recs = append(recs, wire.LinkRecord{To: int32(id), Alpha: alpha, Gamma: gamma})
 	}
+	slices.SortFunc(recs, func(a, b wire.LinkRecord) int { return cmp.Compare(a.To, b.To) })
 	return recs
+}
+
+// localMembers states this broker's membership: one record per topic with
+// local subscribers, carrying the loosest deadline among them (the budget
+// Algorithm 1 admits against), sorted by topic.
+func (c *ctrlPlane) localMembers() []wire.MemberRecord {
+	b := c.b
+	b.mu.Lock()
+	out := make([]wire.MemberRecord, 0, len(b.topics))
+	for topic, ts := range b.topics {
+		if ts.occupied() {
+			out = append(out, wire.MemberRecord{Topic: topic, Deadline: ts.maxDeadline()})
+		}
+	}
+	b.mu.Unlock()
+	slices.SortFunc(out, func(a, b wire.MemberRecord) int { return cmp.Compare(a.Topic, b.Topic) })
+	return out
 }
 
 // recordsClose reports whether two record sets agree within the re-flood
@@ -372,32 +437,32 @@ func recordsClose(a, b []wire.LinkRecord) bool {
 }
 
 // floodLocal refreshes this broker's own record set: when an estimate
-// moved past tolerance (or the periodic repair is due), the set is applied
-// to the local database under a fresh epoch and flooded to every capable
-// neighbor. Applying the flooded values — not the raw estimates — keeps
-// every database in the overlay converging on identical content, so every
-// broker computes identical tables.
-func (c *ctrlPlane) floodLocal(now time.Time) {
-	recs := c.localRecords()
+// moved past tolerance, the membership changed at all, or the periodic
+// repair is due, the set is applied to the local database under a fresh
+// epoch and flooded to every neighbor. Applying the flooded values — not
+// the raw estimates — keeps every database in the overlay converging on
+// identical content, so every broker computes identical tables.
+func (c *ctrlPlane) floodLocal() {
+	recs, members := c.localRecords(), c.localMembers()
 	c.sinceFlood++
-	if recordsClose(recs, c.lastFlood) && c.sinceFlood < ctrlRefreshEvery {
+	if recordsClose(recs, c.lastFlood) && slices.Equal(members, c.lastMembers) && c.sinceFlood < ctrlRefreshEvery {
 		return
 	}
 	c.sinceFlood = 0
-	c.lastFlood = recs
+	c.lastFlood, c.lastMembers = recs, members
 	c.epoch++
 	c.epochA.Store(c.epoch)
-	self := int32(c.b.cfg.ID)
-	c.db.apply(self, c.epoch, recs)
-	c.flood(&wire.LinkState{Origin: self, Epoch: c.epoch, Links: recs}, -1)
+	ls := &wire.LinkState{Origin: int32(c.b.cfg.ID), Epoch: c.epoch, Links: recs, Members: members}
+	c.db.apply(ls)
+	c.flood(ls, -1)
 }
 
-// flood sends one LinkState to every connected capable neighbor except
-// `except` (the peer it arrived from) and the origin itself. The message
-// is shared read-only across writer pipelines, like the legacy Deliver.
+// flood sends one LinkState to every connected neighbor except `except`
+// (the peer it arrived from) and the origin itself. The message is shared
+// read-only across writer pipelines, like the legacy Deliver.
 func (c *ctrlPlane) flood(ls *wire.LinkState, except int) {
 	for id, nc := range c.b.neighbors {
-		if id == except || id == int(ls.Origin) || !nc.linkStateTo(c.b) {
+		if id == except || id == int(ls.Origin) {
 			continue
 		}
 		if nc.send(ls) == nil {
@@ -406,12 +471,9 @@ func (c *ctrlPlane) flood(ls *wire.LinkState, except int) {
 	}
 }
 
-// syncTo pushes the full database to one freshly attached capable
-// neighbor, then schedules a step so local estimates re-flood promptly.
+// syncTo pushes the full database to one freshly attached neighbor, then
+// schedules a step so local records re-flood promptly.
 func (c *ctrlPlane) syncTo(nc *neighborConn) {
-	if c == nil {
-		return
-	}
 	for _, ls := range c.db.snapshotFloods() {
 		if nc.send(ls) == nil {
 			c.sent.Add(1)
@@ -421,14 +483,11 @@ func (c *ctrlPlane) syncTo(nc *neighborConn) {
 }
 
 // handleLinkState folds one received flood into the database, re-floods
-// newer records onward and wakes the control loop when an estimate moved.
-// m is recycled by the caller's Reader after return, so records are copied
-// before they are retained or re-flooded.
+// newer records onward and wakes the control loop when the flood changed
+// something. m is recycled by the caller's Reader after return, so records
+// are copied before they are retained or re-flooded.
 func (b *Broker) handleLinkState(nc *neighborConn, m *wire.LinkState) {
 	c := b.ctrl
-	if c == nil {
-		return // link-state disabled: we never advertised the capability
-	}
 	c.recv.Add(1)
 	if m.Origin < 0 || m.Origin >= ctrlMaxNodeID || m.Origin == int32(b.cfg.ID) {
 		return // invalid origin, or our own flood reflected back
@@ -439,31 +498,32 @@ func (b *Broker) handleLinkState(nc *neighborConn, m *wire.LinkState) {
 			return
 		}
 	}
-	recs := slices.Clone(m.Links)
-	newer, changed := c.db.apply(m.Origin, m.Epoch, recs)
+	ls := &wire.LinkState{Origin: m.Origin, Epoch: m.Epoch, Links: slices.Clone(m.Links), Members: slices.Clone(m.Members)}
+	newer, changed := c.db.apply(ls)
 	if !newer {
 		c.stale.Add(1)
 		return
 	}
-	c.flood(&wire.LinkState{Origin: m.Origin, Epoch: m.Epoch, Links: recs}, nc.id)
+	c.flood(ls, nc.id)
 	if changed {
 		c.kickCtrl()
 	}
 }
 
 // probeIdle keeps gamma live on links no data currently crosses: one
-// outstanding PROBE per capable neighbor whose delivery estimate has had
-// no signal for a ping interval. An unanswered probe decays gamma exactly
-// like a missed ACK; the echo feeds alpha (RTT/2) and nudges gamma up.
+// outstanding PROBE per neighbor whose delivery estimate has had no signal
+// for a ping interval. An unanswered probe decays gamma exactly like a
+// missed ACK; the echo feeds alpha (RTT/2) and nudges gamma up. A link
+// with no alpha sample has had no signal at all, so it is probed at the
+// first step after it attaches.
 func (c *ctrlPlane) probeIdle(now time.Time) {
 	b := c.b
 	for _, nc := range b.neighbors {
-		if !nc.linkStateTo(b) || !nc.connected() {
+		if !nc.connected() {
 			continue
 		}
-		if tok, at := nc.probeState(); tok != 0 {
-			alpha, _ := nc.estimate()
-			if now.Sub(at) <= 2*alpha+b.cfg.AckGuard {
+		if tok, at, wait := nc.probeState(b.cfg.AckGuard, b.cfg.PingInterval); tok != 0 {
+			if now.Sub(at) <= wait {
 				continue // still within its ACK-equivalent timeout
 			}
 			if nc.probeExpire(tok) {
@@ -485,71 +545,69 @@ func (c *ctrlPlane) probeIdle(now time.Time) {
 }
 
 // handleProbe answers a neighbor's probe or folds its echo into the link
-// estimate.
+// estimate; an echo that is the link's first alpha sample kicks the control
+// loop, so the link joins the flooded records without waiting for a tick.
+//
+// On a batching link the echo is held for AckFlushInterval: that is what the
+// coalesced ACK of a lone DATA frame waits, so a probed idle link and a busy
+// link sampled from DATA→ACK report the same round trip. Answered at once,
+// probes made idle links look several times faster than busy ones on a fast
+// network, and Algorithm 1 moved traffic onto longer idle paths.
 func (b *Broker) handleProbe(nc *neighborConn, m *wire.Probe) {
 	if !m.Reply {
-		_ = nc.send(&wire.Probe{Token: m.Token, Reply: true})
+		reply := &wire.Probe{Token: m.Token, Reply: true}
+		if !nc.batchTo(b) {
+			_ = nc.send(reply)
+			return
+		}
+		time.AfterFunc(b.cfg.AckFlushInterval, func() { _ = nc.send(reply) })
 		return
 	}
-	if c := b.ctrl; c != nil && nc.probeReply(m.Token, time.Now()) {
-		c.probeReplies.Add(1)
+	matched, first := nc.probeReply(m.Token, time.Now())
+	if matched {
+		b.ctrl.probeReplies.Add(1)
+	}
+	if first {
+		b.ctrl.kickCtrl()
 	}
 }
 
-// syncPairs mirrors the advert plane's (topic, subscriber) set into the
-// driver. Budgets are uniform deadline vectors — every node's residual
-// D_XS is the subscription deadline — reproducing the live admission rule
-// (publishers are decoupled, so per-publisher residuals are unknowable;
-// see the package comment in broker.go). Identical re-registration is a
-// driver no-op, so the full sync per epoch costs nothing at steady state.
-func (c *ctrlPlane) syncPairs() {
-	b := c.b
-	type pairSpec struct {
-		key      routeKey
-		deadline time.Duration
-	}
-	b.mu.Lock()
-	specs := make([]pairSpec, 0, len(b.routes))
-	for key, rs := range b.routes {
-		dl := rs.deadline
-		if dl <= 0 {
-			dl = b.cfg.DefaultDeadline
-		}
-		specs = append(specs, pairSpec{key, dl})
-	}
-	b.mu.Unlock()
-	sort.Slice(specs, func(i, j int) bool {
-		if specs[i].key.topic != specs[j].key.topic {
-			return specs[i].key.topic < specs[j].key.topic
-		}
-		return specs[i].key.sub < specs[j].key.sub
-	})
-
+// syncPairs registers one driver pair per member the database holds and
+// drops the pairs whose member is gone. It reports whether it dropped any:
+// a removal alone leaves Rebuild nothing to do, yet the published
+// destinations must lose the pair. Budgets are uniform deadline vectors —
+// every node's residual D_XS is the subscription deadline — reproducing the
+// live admission rule (publishers are decoupled, so per-publisher residuals
+// are unknowable; see the package comment in broker.go). Identical
+// re-registration is a driver no-op, so the full sync per epoch costs
+// nothing at steady state.
+func (c *ctrlPlane) syncPairs() (removed bool) {
 	if tv := c.db.topoVersion(); tv != c.topoVer {
 		c.drv.SetGraph(c.db.buildGraph())
 		c.topoVer = tv
 	}
 	n := c.drv.Graph().N()
-	current := make(map[algo1.PairKey]bool, len(specs))
-	// Deadlines arrive from outside (client subscriptions, neighbor adverts),
-	// so the vector cache keeps only those a current pair uses.
+	members := c.db.members()
+	current := make(map[algo1.PairKey]bool, len(members))
+	// Deadlines arrive from outside (every broker's subscribers), so the
+	// vector cache keeps only those a current pair uses.
 	budgets := make(map[time.Duration][]time.Duration, len(c.budgets))
-	for _, sp := range specs {
-		if int(sp.key.sub) >= n || sp.key.sub < 0 {
-			continue // subscriber not in the gossiped topology yet
+	for _, m := range members {
+		if int(m.key.sub) >= n {
+			continue // a flood landed after the graph was built; the next step has it
 		}
-		budget := budgets[sp.deadline]
+		budget := budgets[m.deadline]
 		if budget == nil {
-			if budget = c.budgets[sp.deadline]; len(budget) != n {
+			if budget = c.budgets[m.deadline]; len(budget) != n {
 				budget = make([]time.Duration, n)
 				for i := range budget {
-					budget[i] = sp.deadline
+					budget[i] = m.deadline
 				}
 			}
-			budgets[sp.deadline] = budget
+			budgets[m.deadline] = budget
 		}
-		key := algo1.PairKey{Topic: sp.key.topic, Sub: sp.key.sub}
-		c.drv.SetPair(key, int(sp.key.sub), budget)
+		key := algo1.PairKey{Topic: m.key.topic, Sub: m.key.sub}
+		c.drv.SetPair(key, int(m.key.sub), budget)
 		current[key] = true
 	}
 	c.budgets = budgets
@@ -562,20 +620,35 @@ func (c *ctrlPlane) syncPairs() {
 	for _, key := range gone {
 		c.drv.RemovePair(key)
 	}
+	return len(gone) > 0
 }
 
-// publish swaps in a fresh copy-on-write snapshot of this broker's own
-// sending lists (Lists[self] of each pair's table).
+// publish swaps in a fresh snapshot: for every registered pair, this
+// broker's own sending list and <d, r> (Lists[self] and Params[self] of the
+// pair's table), and the pair's subscriber as a destination of its topic.
 func (c *ctrlPlane) publish() {
 	self := c.b.cfg.ID
-	snap := &ctrlSnapshot{lists: make(map[routeKey][]int)}
+	snap := &ctrlSnapshot{lists: make(map[routeKey][]int), dests: make(map[int32][]int)}
 	c.drv.Pairs(func(key algo1.PairKey, t *algo1.Table) {
+		if int(key.Sub) != self {
+			snap.dests[key.Topic] = append(snap.dests[key.Topic], int(key.Sub))
+		}
 		if t == nil || self >= len(t.Lists) {
 			return
 		}
 		if l := t.Lists[self]; len(l) > 0 {
 			snap.lists[routeKey{topic: key.Topic, sub: key.Sub}] = l
 		}
+		snap.routes = append(snap.routes, wire.RouteStat{
+			Topic: key.Topic, Sub: key.Sub,
+			D: t.Params[self].D, R: t.Params[self].R, ListLen: int32(len(t.Lists[self])),
+		})
+	})
+	for _, d := range snap.dests {
+		slices.Sort(d)
+	}
+	slices.SortFunc(snap.routes, func(a, b wire.RouteStat) int {
+		return cmp.Or(cmp.Compare(a.Topic, b.Topic), cmp.Compare(a.Sub, b.Sub))
 	})
 	c.b.ctrlSnap.Store(snap)
 }
@@ -583,11 +656,7 @@ func (c *ctrlPlane) publish() {
 // ctrlStats snapshots the control plane for Stats and wire.StatsReply.
 func (b *Broker) ctrlStats() (wire.CtrlStat, []wire.LinkStat) {
 	c := b.ctrl
-	if c == nil {
-		return wire.CtrlStat{}, nil
-	}
 	return wire.CtrlStat{
-		Enabled:        true,
 		Epoch:          c.epochA.Load(),
 		Version:        c.versionA.Load(),
 		Rebuilds:       c.rebuildsA.Load(),
@@ -599,11 +668,4 @@ func (b *Broker) ctrlStats() (wire.CtrlStat, []wire.LinkStat) {
 		ProbesSent:     c.probes.Load(),
 		ProbeReplies:   c.probeReplies.Load(),
 	}, c.db.linkStats()
-}
-
-// linkStateTo reports whether control-plane frames may be sent to this
-// neighbor: link state enabled locally and the current peer advertised the
-// capability.
-func (nc *neighborConn) linkStateTo(b *Broker) bool {
-	return nc != nil && !b.cfg.DisableLinkState && nc.peerLinkState.Load()
 }

@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/netsim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -18,12 +21,12 @@ import (
 func TestLinkStateDBStaleEpochReplay(t *testing.T) {
 	db := newLinkStateDB()
 	recs := []wire.LinkRecord{{To: 1, Alpha: 10 * time.Millisecond, Gamma: 0.9}}
-	if newer, changed := db.apply(0, 5, recs); !newer || !changed {
+	if newer, changed := db.apply(&wire.LinkState{Origin: 0, Epoch: 5, Links: recs}); !newer || !changed {
 		t.Fatalf("first flood: newer=%v changed=%v, want true/true", newer, changed)
 	}
 	// Same epoch replayed, then an older one: both stale.
 	for _, epoch := range []uint64{5, 4} {
-		if newer, _ := db.apply(0, epoch, []wire.LinkRecord{{To: 1, Alpha: time.Hour, Gamma: 0.1}}); newer {
+		if newer, _ := db.apply(&wire.LinkState{Origin: 0, Epoch: epoch, Links: []wire.LinkRecord{{To: 1, Alpha: time.Hour, Gamma: 0.1}}}); newer {
 			t.Fatalf("epoch %d accepted after epoch 5", epoch)
 		}
 	}
@@ -33,7 +36,7 @@ func TestLinkStateDBStaleEpochReplay(t *testing.T) {
 	// A newer epoch with identical records advances the epoch but is not a
 	// change — the driver must see a quiet version.
 	ver := db.EstimateVersion()
-	if newer, changed := db.apply(0, 6, recs); !newer || changed {
+	if newer, changed := db.apply(&wire.LinkState{Origin: 0, Epoch: 6, Links: recs}); !newer || changed {
 		t.Fatalf("identical re-flood: newer=%v changed=%v, want true/false", newer, changed)
 	}
 	if db.EstimateVersion() != ver {
@@ -41,11 +44,92 @@ func TestLinkStateDBStaleEpochReplay(t *testing.T) {
 	}
 }
 
+// linkedPair floods a two-broker overlay into db: 0 and 1 linked both ways
+// under epoch 1, so each one's membership counts.
+func linkedPair(db *linkStateDB) {
+	for o := int32(0); o < 2; o++ {
+		db.apply(&wire.LinkState{Origin: o, Epoch: 1, Links: []wire.LinkRecord{{To: 1 - o, Alpha: time.Millisecond, Gamma: 1}}})
+	}
+}
+
+// memberSet renders db.members() as "topic@sub:deadline" strings.
+func memberSet(db *linkStateDB) []string {
+	var out []string
+	for _, m := range db.members() {
+		out = append(out, fmt.Sprintf("%d@%d:%v", m.key.topic, m.key.sub, m.deadline))
+	}
+	return out
+}
+
+// TestLinkStateDBMembershipWithdraw: an origin's membership is its latest
+// set, so a topic absent from a newer epoch is withdrawn — and stating it
+// changes the database (the control loop must run) without moving the
+// estimate version (no table depends on it).
+func TestLinkStateDBMembershipWithdraw(t *testing.T) {
+	db := newLinkStateDB()
+	linkedPair(db)
+	links := []wire.LinkRecord{{To: 0, Alpha: time.Millisecond, Gamma: 1}}
+	ver := db.EstimateVersion()
+	newer, changed := db.apply(&wire.LinkState{Origin: 1, Epoch: 2, Links: links, Members: []wire.MemberRecord{
+		{Topic: 4, Deadline: time.Second}, {Topic: 9, Deadline: 2 * time.Second},
+	}})
+	if !newer || !changed || db.EstimateVersion() != ver {
+		t.Fatalf("join: newer=%v changed=%v version %d→%d, want true/true/unmoved", newer, changed, ver, db.EstimateVersion())
+	}
+	if got, want := memberSet(db), []string{"4@1:1s", "9@1:2s"}; !slices.Equal(got, want) {
+		t.Fatalf("members = %v, want %v", got, want)
+	}
+	if _, changed := db.apply(&wire.LinkState{Origin: 1, Epoch: 3, Links: links, Members: []wire.MemberRecord{{Topic: 9, Deadline: 2 * time.Second}}}); !changed {
+		t.Error("withdrawing topic 4 reported no change")
+	}
+	if got, want := memberSet(db), []string{"9@1:2s"}; !slices.Equal(got, want) {
+		t.Errorf("after the withdraw members = %v, want %v", got, want)
+	}
+}
+
+// TestLinkStateDBMembershipStaleEpoch: a replayed or reordered flood's
+// membership is dropped with the rest of it.
+func TestLinkStateDBMembershipStaleEpoch(t *testing.T) {
+	db := newLinkStateDB()
+	linkedPair(db)
+	links := []wire.LinkRecord{{To: 0, Alpha: time.Millisecond, Gamma: 1}}
+	db.apply(&wire.LinkState{Origin: 1, Epoch: 5, Links: links, Members: []wire.MemberRecord{{Topic: 2, Deadline: time.Second}}})
+	for _, epoch := range []uint64{5, 4} {
+		if newer, _ := db.apply(&wire.LinkState{Origin: 1, Epoch: epoch, Links: links, Members: []wire.MemberRecord{{Topic: 3, Deadline: time.Second}}}); newer {
+			t.Fatalf("epoch %d accepted after epoch 5", epoch)
+		}
+	}
+	if got, want := memberSet(db), []string{"2@1:1s"}; !slices.Equal(got, want) {
+		t.Errorf("members = %v, want %v: a stale flood's membership leaked through", got, want)
+	}
+}
+
+// TestLinkStateDBMembershipRestartedOrigin: a restarted broker seeds its
+// epoch from the wall clock, so its first flood outranks everything its
+// previous incarnation sent and replaces that membership wholesale.
+func TestLinkStateDBMembershipRestartedOrigin(t *testing.T) {
+	db := newLinkStateDB()
+	linkedPair(db)
+	links := []wire.LinkRecord{{To: 0, Alpha: time.Millisecond, Gamma: 1}}
+	old := newCtrlPlane(&Broker{cfg: Config{ID: 1}.withDefaults()})
+	old.epoch += 1000 // the old incarnation flooded a thousand times
+	db.apply(&wire.LinkState{Origin: 1, Epoch: old.epoch, Links: links, Members: []wire.MemberRecord{{Topic: 1, Deadline: time.Second}, {Topic: 2, Deadline: time.Second}}})
+	time.Sleep(time.Millisecond) // a restart takes far longer than a thousand floods' worth of nanoseconds
+	restarted := newCtrlPlane(&Broker{cfg: Config{ID: 1}.withDefaults()})
+	if newer, _ := db.apply(&wire.LinkState{Origin: 1, Epoch: restarted.epoch + 1, Links: links, Members: []wire.MemberRecord{{Topic: 3, Deadline: 5 * time.Second}}}); !newer {
+		t.Fatal("the restarted origin's first flood was dropped as stale")
+	}
+	if got, want := memberSet(db), []string{"3@1:5s"}; !slices.Equal(got, want) {
+		t.Errorf("members = %v, want %v", got, want)
+	}
+}
+
 // TestLinkStateArrivalOrderIndependence is DESIGN.md §15's claim: brokers
 // whose link-state databases received the same floods hold identical
 // estimates and bitwise-equal tables, whatever order the floods arrived in
 // (each origin's own epochs stay ordered, as one TCP stream keeps them) and
-// however often the broker rebuilt along the way.
+// however often the broker rebuilt along the way — and the same pair set,
+// since membership rides in the same floods.
 func TestLinkStateArrivalOrderIndependence(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewPCG(0x0a11, seed))
@@ -68,6 +152,13 @@ func TestLinkStateArrivalOrderIndependence(t *testing.T) {
 						Alpha: time.Duration(1+rng.IntN(30)) * time.Millisecond,
 						Gamma: 0.4 + rng.Float64()*0.6,
 					})
+				}
+				for topic := int32(0); topic < 4; topic++ {
+					if rng.Float64() < 0.3 {
+						ls.Members = append(ls.Members, wire.MemberRecord{
+							Topic: topic, Deadline: time.Duration(100+rng.IntN(400)) * time.Millisecond,
+						})
+					}
 				}
 				floods[o] = append(floods[o], ls)
 			}
@@ -94,7 +185,7 @@ func TestLinkStateArrivalOrderIndependence(t *testing.T) {
 				}
 				ls := floods[o][next[o]]
 				next[o]++
-				db.apply(ls.Origin, ls.Epoch, ls.Links)
+				db.apply(ls)
 				if eager {
 					drv.Rebuild()
 				}
@@ -118,30 +209,32 @@ func TestLinkStateArrivalOrderIndependence(t *testing.T) {
 				t.Fatalf("seed %d pair %+v: equal databases, different tables", seed, key)
 			}
 		})
+		if a, b := memberSet(dbA), memberSet(dbB); !slices.Equal(a, b) {
+			t.Fatalf("seed %d: same floods, different pair sets:\n %v\n %v", seed, a, b)
+		}
 	}
 }
 
 // TestSyncPairsDropsUnusedBudgets pins the bound on the per-deadline budget
-// cache: deadlines come from clients and neighbors, so after 100 pairs with
-// distinct deadlines have come and gone on a stable topology the cache holds
-// exactly the vectors the live pairs use.
+// cache: deadlines come from every broker's subscribers, so after 100
+// memberships with distinct deadlines have come and gone through the
+// database on a stable topology the cache holds exactly the vectors the live
+// pairs use.
 func TestSyncPairsDropsUnusedBudgets(t *testing.T) {
-	b := &Broker{cfg: Config{}.withDefaults(), routes: make(map[routeKey]*routeState)}
-	c := newCtrlPlane(b)
-	rec := func(to int32) []wire.LinkRecord {
-		return []wire.LinkRecord{{To: to, Alpha: time.Millisecond, Gamma: 1}}
+	c := newCtrlPlane(&Broker{cfg: Config{}.withDefaults()})
+	flood := func(origin int32, epoch uint64, members ...wire.MemberRecord) {
+		c.db.apply(&wire.LinkState{Origin: origin, Epoch: epoch, Members: members,
+			Links: []wire.LinkRecord{{To: 1 - origin, Alpha: time.Millisecond, Gamma: 1}}})
 	}
-	c.db.apply(0, 1, rec(1))
-	c.db.apply(1, 1, rec(0))
-
-	b.routes[routeKey{topic: 1, sub: 0}] = &routeState{deadline: time.Second}
-	b.routes[routeKey{topic: 2, sub: 1}] = &routeState{deadline: 2 * time.Second}
-	churn := routeKey{topic: 3, sub: 1}
+	flood(0, 1, wire.MemberRecord{Topic: 1, Deadline: time.Second})
+	steady := wire.MemberRecord{Topic: 2, Deadline: 2 * time.Second}
 	for i := 1; i <= 100; i++ {
-		b.routes[churn] = &routeState{deadline: time.Duration(i) * time.Millisecond}
+		flood(1, uint64(2*i), steady, wire.MemberRecord{Topic: 3, Deadline: time.Duration(i) * time.Millisecond})
 		c.syncPairs()
-		delete(b.routes, churn)
-		c.syncPairs()
+		flood(1, uint64(2*i+1), steady)
+		if !c.syncPairs() {
+			t.Fatalf("round %d: the withdrawn pair was not reported removed", i)
+		}
 	}
 	if len(c.budgets) != 2 {
 		t.Fatalf("budget cache holds %d vectors for 2 live deadlines", len(c.budgets))
@@ -221,7 +314,7 @@ func TestControlPlaneDifferential(t *testing.T) {
 					}
 					recs = append(recs, wire.LinkRecord{To: int32(e.To), Alpha: est.Alpha, Gamma: est.Gamma})
 				}
-				db.apply(int32(u), uint64(window)+1, recs)
+				db.apply(&wire.LinkState{Origin: int32(u), Epoch: uint64(window) + 1, Links: recs})
 			}
 			simDrv.Rebuild()
 			liveDrv.Rebuild()
@@ -238,14 +331,31 @@ func TestControlPlaneDifferential(t *testing.T) {
 	}
 }
 
-// ctrlList reads broker b's current control-plane sending list for
-// (topic, sub), nil when none has been published.
+// ctrlList reads broker b's published sending list for (topic, sub), nil
+// when it has none.
 func ctrlList(b *Broker, topic, sub int32) []int {
-	cs := b.ctrlSnap.Load()
-	if cs == nil {
-		return nil
+	return b.ctrlSnap.Load().lists[routeKey{topic: topic, sub: sub}]
+}
+
+// ctrlDests reads broker b's published destination brokers for a topic.
+func ctrlDests(b *Broker, topic int32) []int {
+	return b.ctrlSnap.Load().dests[topic]
+}
+
+// memberTopics lists the topics broker b's database holds for origin, sorted,
+// whether or not the membership currently counts.
+func memberTopics(b *Broker, origin int32) []int32 {
+	db := b.ctrl.db
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	var out []int32
+	if os := db.origins[origin]; os != nil {
+		for topic := range os.members {
+			out = append(out, topic)
+		}
 	}
-	return cs.lists[routeKey{topic: topic, sub: sub}]
+	slices.Sort(out)
+	return out
 }
 
 // TestControlPlaneConvergence is the tentpole's live pin: on a diamond
@@ -273,7 +383,7 @@ func TestControlPlaneConvergence(t *testing.T) {
 		t.Fatalf("sending list = %v, want {1, 2}", l)
 	}
 	st := o.brokers[0].Stats()
-	if !st.Ctrl.Enabled || st.Ctrl.LinkStatesRecv == 0 || len(st.Links) == 0 {
+	if st.Ctrl.LinkStatesRecv == 0 || len(st.Links) == 0 {
 		t.Fatalf("control plane idle: %+v", st.Ctrl)
 	}
 
@@ -299,14 +409,17 @@ func TestControlPlaneConvergence(t *testing.T) {
 	}
 }
 
-// TestControlPlaneLegacyInterop pins mixed-topology safety: on a chain
-// 0 - 1 - 2 where the middle broker runs with DisableLinkState, zero
-// LINK_STATE frames cross either link, the legacy broker's routing is
-// byte-for-byte the advert plane's, and delivery still works end to end.
-func TestControlPlaneLegacyInterop(t *testing.T) {
+// TestClosedSubscriberBrokerLeavesDestinations: a closed broker cannot
+// withdraw its own membership, and its last flood lingers in every database.
+// Its neighbors' link withdrawals must still take it out of the publisher
+// broker's destinations; otherwise every Persistent publish to its topic
+// would be held for a whole lifetime.
+func TestClosedSubscriberBrokerLeavesDestinations(t *testing.T) {
+	tr := &lockedTrace{}
 	o := newOverlayConfig(t, 3, [][2]int{{0, 1}, {1, 2}}, func(cfg *Config) {
-		if cfg.ID == 1 {
-			cfg.DisableLinkState = true
+		cfg.Persistent = true
+		if cfg.ID == 0 {
+			cfg.Tracer = tr
 		}
 	})
 	sub, err := Dial(o.addrs[2], "sub")
@@ -314,45 +427,39 @@ func TestControlPlaneLegacyInterop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if err := sub.Subscribe(9, time.Second); err != nil {
+	if err := sub.Subscribe(8, time.Second); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, 5*time.Second, "broker 2 to become a destination at broker 0", func() bool {
+		return slices.Equal(ctrlDests(o.brokers[0], 8), []int{2}) && len(ctrlList(o.brokers[0], 8, 2)) > 0
+	})
+	_ = o.brokers[2].Close()
+	waitFor(t, 5*time.Second, "broker 2 to leave broker 0's destinations", func() bool {
+		return ctrlDests(o.brokers[0], 8) == nil && ctrlList(o.brokers[0], 8, 2) == nil
+	})
+	if got := memberTopics(o.brokers[0], 2); !slices.Equal(got, []int32{8}) {
+		t.Fatalf("broker 2's last flood = %v, want it to linger as [8]", got)
+	}
+	// A publish now has nobody to hold a copy for.
 	pub, err := Dial(o.addrs[0], "pub")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	waitFor(t, 5*time.Second, "advert route 0->2", func() bool {
-		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(9, 2)) > 0
-	})
-	if err := pub.Publish(9, time.Second, []byte("across the legacy hop")); err != nil {
+	if err := pub.Publish(8, time.Second, []byte("nobody home")); err != nil {
 		t.Fatal(err)
 	}
-	if d := receiveOne(t, sub, 3*time.Second); string(d.Payload) != "across the legacy hop" {
-		t.Fatalf("delivery = %+v", d)
-	}
-
-	// Give the control loops a few intervals to have done whatever they
-	// would wrongly do, then assert total silence on the legacy links.
-	time.Sleep(5 * o.brokers[0].cfg.LinkStateInterval)
-	for _, id := range []int{0, 2} {
-		st := o.brokers[id].Stats()
-		if st.Ctrl.LinkStatesSent != 0 || st.Ctrl.ProbesSent != 0 {
-			t.Errorf("broker %d sent %d LINK_STATE / %d PROBE frames to a legacy peer",
-				id, st.Ctrl.LinkStatesSent, st.Ctrl.ProbesSent)
+	var published []trace.Event
+	waitFor(t, 3*time.Second, "the publish to reach broker 0's engine", func() bool {
+		published = published[:0]
+		for _, e := range tr.snapshot() {
+			if e.Kind == trace.Publish {
+				published = append(published, e)
+			}
 		}
-		if st.Ctrl.LinkStatesRecv != 0 {
-			t.Errorf("broker %d received %d LINK_STATE frames from a legacy peer", id, st.Ctrl.LinkStatesRecv)
-		}
-	}
-	st := o.brokers[1].Stats()
-	if st.Ctrl.Enabled {
-		t.Error("DisableLinkState broker reports an enabled control plane")
-	}
-	if ctrlList(o.brokers[1], 9, 2) != nil {
-		t.Error("legacy broker published a control-plane sending list")
+		return len(published) > 0
+	})
+	if d := published[0].Dests; len(d) != 0 {
+		t.Errorf("publish routed to %v after broker 2 closed", d)
 	}
 }

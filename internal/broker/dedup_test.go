@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -78,34 +79,42 @@ func TestGammaAdaptation(t *testing.T) {
 	}
 }
 
+// TestAlphaFromPong pins alpha's two sample sources, the PROBE echo (the
+// broker-to-broker pong) and DATA→ACK: a link's first round trip replaces the
+// unmeasured zero outright, and only later samples fold into the EWMA.
 func TestAlphaFromPong(t *testing.T) {
 	nc := newNeighborConn(1)
+	if a, _ := nc.estimate(); a != 0 {
+		t.Fatalf("unmeasured alpha = %v, want 0", a)
+	}
 	base := time.Now()
-	nc.recordPing(7, base)
-	if nc.recordPong(99, base.Add(time.Millisecond)) {
-		t.Error("unknown pong token accepted")
+	nc.probeStart(7, base)
+	if matched, _ := nc.probeReply(99, base.Add(time.Millisecond)); matched {
+		t.Error("unknown probe token accepted")
 	}
-	if !nc.recordPong(7, base.Add(40*time.Millisecond)) {
-		t.Error("known pong token rejected")
+	if matched, first := nc.probeReply(7, base.Add(2*time.Millisecond)); !matched || !first {
+		t.Fatalf("first echo: matched=%v first=%v, want true/true", matched, first)
 	}
-	alpha, _ := nc.estimate()
-	// EWMA of initial 20ms toward sample 20ms (RTT/2 = 20ms): stays 20ms.
-	if alpha < 15*time.Millisecond || alpha > 25*time.Millisecond {
-		t.Errorf("alpha = %v after 40ms RTT sample", alpha)
+	if a, _ := nc.estimate(); a != time.Millisecond {
+		t.Fatalf("alpha = %v after a 2ms round trip, want the sample itself (1ms)", a)
 	}
-}
+	nc.noteDataSend(5, base)
+	if first := nc.noteDataAck(5, base.Add(12*time.Millisecond)); first {
+		t.Error("second sample reported as first")
+	}
+	// EWMA: 0.7·1ms + 0.3·6ms, to float rounding.
+	if a, _ := nc.estimate(); a < 2499*time.Microsecond || a > 2501*time.Microsecond {
+		t.Errorf("alpha = %v after a 12ms DATA→ACK round trip, want 2.5ms", a)
+	}
 
-func TestPingMapBounded(t *testing.T) {
-	nc := newNeighborConn(1)
-	now := time.Now()
-	for i := uint64(0); i < 1000; i++ {
-		nc.recordPing(i, now)
+	// On a link busy before it was ever probed, DATA→ACK is the first sample.
+	nc = newNeighborConn(2)
+	nc.noteDataSend(9, base)
+	if first := nc.noteDataAck(9, base.Add(40*time.Millisecond)); !first {
+		t.Error("first DATA→ACK sample not reported as first")
 	}
-	nc.mu.Lock()
-	n := len(nc.lastPing)
-	nc.mu.Unlock()
-	if n > 65 {
-		t.Errorf("ping token map grew to %d entries", n)
+	if a, _ := nc.estimate(); a != 20*time.Millisecond {
+		t.Errorf("alpha = %v after a 40ms DATA→ACK round trip, want 20ms", a)
 	}
 }
 
@@ -147,6 +156,10 @@ func TestDataSendSweepOnlyWhenSomethingCanBeStale(t *testing.T) {
 	}
 }
 
+// TestUnsubscribeWithdrawsRoute: the last local unsubscribe leaves the
+// topic out of the subscriber broker's next membership flood, and that
+// withdraw removes the pair from the publisher broker's snapshot — list and
+// destination both.
 func TestUnsubscribeWithdrawsRoute(t *testing.T) {
 	o := newOverlay(t, 2, [][2]int{{0, 1}})
 	sub, err := Dial(o.addrs[1], "sub")
@@ -158,23 +171,21 @@ func TestUnsubscribeWithdrawsRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "route to appear", func() bool {
-		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(4, 1)) > 0
+		return len(ctrlList(o.brokers[0], 4, 1)) > 0 && slices.Equal(ctrlDests(o.brokers[0], 4), []int{1})
 	})
 	if err := sub.Unsubscribe(4); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "route to be withdrawn", func() bool {
-		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		rs := b.routes[routeKey{topic: 4, sub: 1}]
-		return rs == nil || !rs.own.Reachable()
+		return ctrlList(o.brokers[0], 4, 1) == nil && ctrlDests(o.brokers[0], 4) == nil
 	})
+	if got := memberTopics(o.brokers[0], 1); len(got) != 0 {
+		t.Errorf("broker 0 still holds broker 1's membership %v", got)
+	}
 }
 
+// TestClientDisconnectWithdrawsRoute: a subscriber's connection dropping is
+// an unsubscribe from every topic it held, withdrawn the same way.
 func TestClientDisconnectWithdrawsRoute(t *testing.T) {
 	o := newOverlay(t, 2, [][2]int{{0, 1}})
 	sub, err := Dial(o.addrs[1], "sub")
@@ -185,15 +196,13 @@ func TestClientDisconnectWithdrawsRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "route to appear", func() bool {
-		b := o.brokers[0]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return len(b.sendingListLocked(6, 1)) > 0
+		return len(ctrlList(o.brokers[0], 6, 1)) > 0 && slices.Equal(memberTopics(o.brokers[0], 1), []int32{6})
 	})
 	if err := sub.Close(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "route to be withdrawn after disconnect", func() bool {
-		return o.brokers[1].localLedger(6).subscribers() == 0
+		return o.brokers[1].localLedger(6).subscribers() == 0 &&
+			len(memberTopics(o.brokers[0], 1)) == 0 && ctrlDests(o.brokers[0], 6) == nil
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -109,9 +110,10 @@ func normalize(events []trace.Event) map[int][]decision {
 var diffLinks = [][2]int{{0, 1}, {1, 3}, {0, 2}, {2, 4}, {4, 3}}
 
 const (
-	diffNodes    = 5
-	diffSub      = 3
-	diffDeadline = 10 * time.Second
+	diffNodes     = 5
+	diffSub       = 3
+	diffDeadline  = 10 * time.Second
+	diffLinkDelay = 10 * time.Millisecond // every link, in both shells
 )
 
 // runSimScenario pushes one packet through the DES shell under the
@@ -120,7 +122,7 @@ func runSimScenario(t *testing.T, rules []diffDropRule) (map[int][]decision, int
 	t.Helper()
 	g := topology.NewGraph(diffNodes)
 	for _, l := range diffLinks {
-		if err := g.AddLink(l[0], l[1], 10*time.Millisecond); err != nil {
+		if err := g.AddLink(l[0], l[1], diffLinkDelay); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,67 +192,74 @@ func (l *lockedTrace) snapshot() []trace.Event {
 }
 
 // proxyPump forwards one direction of a proxied overlay link, dropping
-// Data/Ack frames per the schedule. Control-plane traffic (hello, pings,
-// adverts) always passes.
+// Data/Ack frames per the schedule. Control-plane traffic (link state,
+// probes) always passes. Every frame is released diffLinkDelay after it was
+// read — a delay line, not a per-frame sleep in series, so a burst of
+// floods does not queue a probe behind it. The live links then have the
+// simulator's equal link delays, and the alphas measured from them order
+// the sending lists by hop count as the simulator's do; on bare pipes a
+// link's first round trip is a scheduling accident.
 func proxyPump(src, dst net.Conn, from, to int, sched *diffSchedule) {
-	rd := bufio.NewReader(src)
-	for {
-		msg, err := wire.Read(rd)
-		if err != nil {
-			return
+	type held struct {
+		due time.Time
+		msg wire.Message
+	}
+	line := make(chan held, 1024) // far more frames than a scenario puts on one link within a delay
+	go func() {
+		defer close(line)
+		rd := bufio.NewReader(src)
+		for {
+			msg, err := wire.Read(rd)
+			if err != nil {
+				return
+			}
+			drop := false
+			switch msg.(type) {
+			case *wire.Data:
+				drop = sched.drop(from, to, "data")
+			case *wire.Ack:
+				drop = sched.drop(from, to, "ack")
+			}
+			if !drop {
+				line <- held{time.Now().Add(diffLinkDelay), msg}
+			}
 		}
-		drop := false
-		switch msg.(type) {
-		case *wire.Data:
-			drop = sched.drop(from, to, "data")
-		case *wire.Ack:
-			drop = sched.drop(from, to, "ack")
-		}
-		if drop {
-			continue
-		}
-		if err := wire.Write(dst, msg); err != nil {
-			return
+	}()
+	var err error
+	for h := range line {
+		time.Sleep(time.Until(h.due))
+		if err == nil { // after a write error, drain so the reader can exit
+			err = wire.Write(dst, h.msg)
 		}
 	}
 }
 
-// expectList polls until every broker's sending list for (topic, sub)
-// matches the structurally expected Theorem-1 order, so the live overlay
-// starts each scenario from the same routing state the simulator computes.
+// waitListsConverge polls until every broker's published sending list for
+// (topic, sub) matches the structurally expected Theorem-1 order and every
+// broker's link-state database holds every directed link, so the live
+// overlay starts each scenario from the same routing state the simulator
+// computes, with no first-sample flood still on its way to kick a control
+// step mid-scenario.
 func waitListsConverge(t *testing.T, brokers []*Broker, topic int32, want map[int][]int) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		allOK := true
+	converged := func() bool {
+		for _, bk := range brokers {
+			if len(bk.ctrl.db.linkStats()) != 2*len(diffLinks) {
+				return false
+			}
+		}
 		for id, exp := range want {
-			bk := brokers[id]
-			bk.mu.Lock()
-			got := append([]int(nil), bk.sendingListLocked(topic, diffSub)...)
-			bk.mu.Unlock()
-			if len(got) != len(exp) {
-				allOK = false
-				break
-			}
-			for i := range exp {
-				if got[i] != exp[i] {
-					allOK = false
-					break
-				}
-			}
-			if !allOK {
-				break
+			if !slices.Equal(ctrlList(brokers[id], topic, diffSub), exp) {
+				return false
 			}
 		}
-		if allOK {
-			return
-		}
+		return true
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for !converged() {
 		if time.Now().After(deadline) {
 			for id := range want {
-				bk := brokers[id]
-				bk.mu.Lock()
-				t.Logf("broker %d list: %v (want %v)", id, bk.sendingListLocked(topic, diffSub), want[id])
-				bk.mu.Unlock()
+				t.Logf("broker %d list: %v (want %v)", id, ctrlList(brokers[id], topic, diffSub), want[id])
 			}
 			t.Fatal("live routing never converged to the expected sending lists")
 		}
@@ -294,14 +303,18 @@ func runLiveScenario(t *testing.T, rules []diffDropRule, wantDelivered bool, min
 			Neighbors: neighbors[i],
 			M:         2,
 			AckGuard:  25 * time.Millisecond,
-			// Fast pings converge alpha quickly; the huge advert repair
-			// interval freezes routes once event-driven adverts settle.
-			PingInterval:    50 * time.Millisecond,
-			AdvertInterval:  10 * time.Minute,
-			DialRetry:       50 * time.Millisecond,
-			DefaultDeadline: diffDeadline,
-			Shards:          shards,
-			Tracer:          tracers[i],
+			// The simulator's tables are frozen for the whole scenario
+			// (MonitorInterval 5 min), so the live ones must be too: a
+			// scripted drop halves gamma, and a control tick would re-flood
+			// it and re-sort the lists mid-scenario. With the tick out of
+			// reach, only kicks run the control loop — attach, first alpha
+			// samples and gossip that changed a database — and those settle
+			// once every link is measured.
+			LinkStateInterval: 10 * time.Minute,
+			DialRetry:         50 * time.Millisecond,
+			DefaultDeadline:   diffDeadline,
+			Shards:            shards,
+			Tracer:            tracers[i],
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -55,8 +55,6 @@ func restartBroker(t *testing.T, o *overlay, links [][2]int, id int, mutate func
 		ID:              id,
 		Listen:          o.addrs[id],
 		Neighbors:       neighbors,
-		PingInterval:    20 * time.Millisecond,
-		AdvertInterval:  30 * time.Millisecond,
 		DialRetry:       20 * time.Millisecond,
 		AckGuard:        30 * time.Millisecond,
 		DefaultDeadline: 2 * time.Second,
@@ -234,12 +232,12 @@ func TestDurableCrashBeforeAckRedelivers(t *testing.T) {
 	}
 }
 
-// TestDurableReplayResumesFlights crashes a broker holding fsynced custody
-// it could not yet hand off (its only downstream was dead) and asserts the
-// restart replays exactly those flights and drives them to delivery — the
-// §III persistency hold now survives node loss.
+// TestDurableReplayResumesFlights stops a broker holding fsynced custody it
+// could not yet hand off (the relay to the subscriber's broker was dead) and
+// asserts the restart replays exactly those flights and drives them to
+// delivery — the §III persistency hold now survives node loss.
 func TestDurableReplayResumesFlights(t *testing.T) {
-	links := [][2]int{{0, 1}}
+	links := [][2]int{{0, 1}, {1, 2}}
 	dir := t.TempDir()
 	durable := func(cfg *Config) {
 		cfg.Persistent = true
@@ -249,20 +247,21 @@ func TestDurableReplayResumesFlights(t *testing.T) {
 			cfg.DataDir = dir
 		}
 	}
-	o := newOverlayConfig(t, 2, links, durable)
+	o := newOverlayConfig(t, 3, links, durable)
 
-	sub, err := Dial(o.addrs[1], "sub")
+	sub, err := Dial(o.addrs[2], "sub")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sub.Close()
 	if err := sub.Subscribe(soakTopic, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "route 0→1", routesReady(o.brokers[0], 1))
-	_ = sub.Close()
+	waitFor(t, 5*time.Second, "route 0→2", routesReady(o.brokers[0], 2))
 
-	// Kill the subscriber's broker, then publish into the hole: the origin
-	// journals custody for dests it cannot reach and holds (§III).
+	// Kill the relay, then publish into the hole. Broker 2 is still a
+	// destination — the relay's last flood links to it — so the origin
+	// journals custody for a dest it cannot reach and holds (§III).
 	assertBrokerClean(t, o.brokers[1])
 	waitFor(t, 5*time.Second, "origin noticing the dead neighbor", func() bool {
 		return !o.brokers[0].neighbor(1).connected()
@@ -285,29 +284,21 @@ func TestDurableReplayResumesFlights(t *testing.T) {
 	// Graceful stop: custody stays in the log — that is the point.
 	assertBrokerClean(t, o.brokers[0])
 
-	// Restart both ends. The origin must replay all n held flights...
+	// Restart both. The origin must replay all n held flights...
 	restartBroker(t, o, links, 1, durable)
 	b0 := restartBroker(t, o, links, 0, durable)
 	if got := b0.Stats().Wal.ReplayedFlights; got != n {
 		t.Errorf("replayed %d flights, want %d", got, n)
 	}
 
-	// ...and deliver them to the resubscribed subscriber exactly once.
-	sub2, err := Dial(o.addrs[1], "sub2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub2.Close()
-	if err := sub2.Subscribe(soakTopic, 30*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	// ...and deliver them to the subscriber exactly once.
 	got := make(map[byte]int)
 	deadline := time.After(20 * time.Second)
 	for len(got) < n {
 		select {
-		case d, ok := <-sub2.Receive():
+		case d, ok := <-sub.Receive():
 			if !ok {
-				t.Fatalf("subscriber died: %v", sub2.Err())
+				t.Fatalf("subscriber died: %v", sub.Err())
 			}
 			if len(d.Payload) == 1 {
 				got[d.Payload[0]]++

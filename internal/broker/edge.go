@@ -104,7 +104,8 @@ func (ts *topicSubs) occupied() bool {
 }
 
 // maxDeadline is the loosest QoS requirement across the topic's
-// subscribers (Algorithm 1 pins the destination deadline to it).
+// subscribers: the deadline this broker's membership record states for the
+// topic, which Algorithm 1 admits neighbors against.
 func (ts *topicSubs) maxDeadline() time.Duration {
 	var d time.Duration
 	for _, v := range ts.legacy {
@@ -218,7 +219,8 @@ func (b *Broker) kickSubsFlusher() {
 
 // subsFlusher is the session-churn coalescer: each kick waits one
 // subsFlushInterval (letting a subscription burst accumulate), then
-// publishes the snapshot and re-runs Algorithm 1 once for the whole batch.
+// publishes the snapshot and kicks the control loop once for the whole
+// batch, which floods the broker's new membership.
 func (b *Broker) subsFlusher() {
 	for {
 		select {
@@ -233,9 +235,60 @@ func (b *Broker) subsFlusher() {
 		changed := b.flushSubsLocked()
 		b.mu.Unlock()
 		if changed {
-			b.recomputeAndAdvertise(false)
+			b.ctrl.kickCtrl()
 		}
 	}
+}
+
+// subscribeLocal registers a legacy client subscription. The control loop
+// then floods this broker's membership with the topic in it, which makes
+// the broker a destination for the topic overlay-wide.
+func (b *Broker) subscribeLocal(c *clientConn, m *wire.Subscribe) {
+	deadline := m.Deadline
+	if deadline <= 0 {
+		deadline = b.cfg.DefaultDeadline
+	}
+	b.mu.Lock()
+	ts := b.topics[m.Topic]
+	if ts == nil {
+		ts = &topicSubs{}
+		b.topics[m.Topic] = ts
+	}
+	if ts.legacy == nil {
+		ts.legacy = make(map[*clientConn]time.Duration)
+	}
+	if _, ok := ts.legacy[c]; !ok {
+		b.subscriptionsGauge.Add(1)
+	}
+	ts.legacy[c] = deadline
+	b.markSubsDirtyLocked(m.Topic)
+	// Legacy subscribes flush synchronously: the historical contract is
+	// that the subscription is delivery-visible when Subscribe returns.
+	b.flushSubsLocked()
+	b.mu.Unlock()
+	b.logf("client %q subscribed to topic %d (deadline %v)", c.name, m.Topic, deadline)
+	b.ctrl.kickCtrl()
+}
+
+// unsubscribeLocal removes one client's subscription; when it was the last
+// local subscriber the next membership flood leaves the topic out, which
+// withdraws it.
+func (b *Broker) unsubscribeLocal(c *clientConn, m *wire.Unsubscribe) {
+	b.mu.Lock()
+	if ts := b.topics[m.Topic]; ts != nil {
+		if _, ok := ts.legacy[c]; ok {
+			delete(ts.legacy, c)
+			b.subscriptionsGauge.Add(-1)
+			if !ts.occupied() {
+				delete(b.topics, m.Topic)
+			}
+			b.markSubsDirtyLocked(m.Topic)
+		}
+	}
+	b.flushSubsLocked()
+	b.mu.Unlock()
+	b.logf("client %q unsubscribed from topic %d", c.name, m.Topic)
+	b.ctrl.kickCtrl()
 }
 
 // sessionHello upgrades a client connection to a multiplexed session.

@@ -124,7 +124,7 @@ func (b *Broker) publishLocal(m *wire.Publish) {
 	it.payload = body
 	// The snapshot's destination set is immutable but the item's slices are
 	// recycled scratch, so copy rather than alias it.
-	it.dests = append(it.dests[:0], b.routesSnap.Load().destsByTopic[m.Topic]...)
+	it.dests = append(it.dests[:0], b.ctrlSnap.Load().dests[m.Topic]...)
 	if b.wal != nil && len(it.dests) > 0 {
 		// Origin custody: journal before the packet reaches the engine, so a
 		// crash replays it as a publish of the still-outstanding dests.

@@ -134,8 +134,6 @@ func TestOverlayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg0.PingInterval = 20 * time.Millisecond
-	cfg0.AdvertInterval = 30 * time.Millisecond
 	cfg0.DialRetry = 20 * time.Millisecond
 	b0, err := New(cfg0)
 	if err != nil {
@@ -150,8 +148,6 @@ func TestOverlayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg1.PingInterval = 20 * time.Millisecond
-	cfg1.AdvertInterval = 30 * time.Millisecond
 	cfg1.DialRetry = 20 * time.Millisecond
 	b1, err := New(cfg1)
 	if err != nil {
@@ -171,9 +167,7 @@ func TestOverlayEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 3*time.Second, "route", func() bool {
-		b0.mu.Lock()
-		defer b0.mu.Unlock()
-		return len(b0.sendingListLocked(1, 1)) > 0
+		return len(ctrlList(b0, 1, 1)) > 0
 	})
 	pub, err := Dial(lnA.Addr().String(), "pub")
 	if err != nil {

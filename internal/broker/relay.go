@@ -48,16 +48,12 @@ func legacyDataBytes(d *wire.Data) int {
 }
 
 // helloName is the Name field of this broker's Hello to a neighbor: a
-// label plus the capability tokens this configuration supports.
+// label plus the relay-batch token when this configuration batches.
 func (b *Broker) helloName() string {
-	name := "broker"
-	if !b.cfg.DisableRelayBatch {
-		name = wire.AddCap(name, wire.CapRelayBatch)
+	if b.cfg.DisableRelayBatch {
+		return "broker"
 	}
-	if !b.cfg.DisableLinkState {
-		name = wire.AddCap(name, wire.CapLinkState)
-	}
-	return name
+	return wire.AddCap("broker", wire.CapRelayBatch)
 }
 
 // batchTo reports whether relay frames to this neighbor may use the batch
@@ -133,10 +129,8 @@ func (nc *neighborConn) resetRelay() {
 		nc.ackFlushTimer.Stop()
 	}
 	nc.ackMu.Unlock()
-	// Control-plane per-connection state resets with the link too: the next
-	// peer re-negotiates wire.CapLinkState, and probe/ACK samples from the
-	// old connection must not leak into the new one's estimates.
-	nc.peerLinkState.Store(false)
+	// Probe and ACK samples in flight on the old connection must not leak
+	// into the new one's estimates; alpha itself carries over.
 	nc.mu.Lock()
 	nc.probeTok = 0
 	clear(nc.dataSend)

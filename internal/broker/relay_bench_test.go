@@ -43,8 +43,6 @@ func newRelayChain(tb testing.TB, n int, tweak func(id int, cfg *Config)) []*Bro
 			ID:              i,
 			Listen:          addrs[i],
 			Neighbors:       neighbors,
-			PingInterval:    50 * time.Millisecond,
-			AdvertInterval:  50 * time.Millisecond,
 			DialRetry:       20 * time.Millisecond,
 			AckGuard:        40 * time.Millisecond,
 			DefaultDeadline: 5 * time.Second,
@@ -76,9 +74,7 @@ func waitForRoute(tb testing.TB, b *Broker, topic int32, sub int32) {
 	tb.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		b.mu.Lock()
-		ok := len(b.sendingListLocked(topic, sub)) > 0
-		b.mu.Unlock()
+		ok := len(ctrlList(b, topic, sub)) > 0
 		if ok {
 			return
 		}

@@ -369,8 +369,9 @@ func (sh shardShell) NextFrameID() uint64 {
 }
 
 // AckWait scales the ACK timeout to the link's measured round trip
-// (2*alpha; the engine adds Config.AckGuard on top). Unknown neighbors get
-// a bare-guard timeout and fail over via the normal timer path.
+// (2*alpha; the engine adds Config.AckGuard on top). Unknown neighbors, and
+// links with no alpha sample yet, get a bare-guard timeout and fail over via
+// the normal timer path.
 func (sh shardShell) AckWait(k int) (time.Duration, bool) {
 	if nc := sh.s.b.neighbors[k]; nc != nil {
 		alpha, _ := nc.estimate()
@@ -414,26 +415,18 @@ func (sh shardShell) Send(f *algo2.Frame) {
 		b.logf("send frame %d to %d: %v", f.ID, f.To, err)
 		return
 	}
-	if b.ctrl != nil {
-		// Sample the send time so the returning hop-by-hop ACK measures
-		// alpha from real traffic (bounded; see noteDataSend).
-		nc.noteDataSend(f.ID, time.Now())
-	}
+	// Sample the send time so the returning hop-by-hop ACK measures alpha
+	// from real traffic (bounded; see noteDataSend).
+	nc.noteDataSend(f.ID, time.Now())
 }
 
-// SendingList exposes the distributed Algorithm-1 state: the link-state
-// control plane's table (controlplane.go) when it has converged a list for
-// the pair, else the advert-plane list (rebuilt copy-on-write by
-// recomputeAndAdvertise). The fallback covers the gossip warm-up window
-// and overlays where link state is disabled or peers are legacy.
+// SendingList exposes the distributed Algorithm-1 state: this broker's list
+// in the pair's table, as the control plane last published it
+// (controlplane.go). Before a table exists the list is empty, and the
+// engine treats the packet as it treats an exhausted list: held under §III
+// persistency, or dropped.
 func (sh shardShell) SendingList(topic int32, dest int) []int {
-	key := routeKey{topic: topic, sub: int32(dest)}
-	if cs := sh.s.b.ctrlSnap.Load(); cs != nil {
-		if l := cs.lists[key]; len(l) > 0 {
-			return l
-		}
-	}
-	return sh.s.b.routesSnap.Load().lists[key]
+	return sh.s.b.ctrlSnap.Load().lists[routeKey{topic: topic, sub: int32(dest)}]
 }
 
 // LinkUp skips neighbors without a live connection.

@@ -12,8 +12,9 @@ import (
 // reads itself: every Data frame broker 0 puts on the link shows up on sent
 // with its arrival time, and no ACK ever comes back unless the test queues
 // one. The route (timerTopic, 1) → [1] is stored straight into the data
-// plane's snapshot; nothing runs that would replace it (no listener, no
-// link-state loop).
+// plane's snapshot; nothing replaces it: the link is never measured (the far
+// end does not echo probes), so the control loop never has a pair to
+// publish.
 type timerRig struct {
 	b    *Broker
 	sent chan sentFrame
@@ -28,20 +29,19 @@ const (
 	timerTopic    = int32(5)
 	timerAckGuard = 30 * time.Millisecond
 	// timerTimeout is what the engine arms per transmission on an unmeasured
-	// link: 2·initialAlpha + AckGuard.
-	timerTimeout = 2*initialAlpha + timerAckGuard
+	// link: the AckGuard alone, as alpha has no sample.
+	timerTimeout = timerAckGuard
 )
 
 func newTimerRig(t *testing.T) *timerRig {
 	t.Helper()
 	b, err := New(Config{
-		ID:               0,
-		Listen:           "unused",
-		Neighbors:        map[int]string{1: "pipe"},
-		Shards:           1,
-		M:                3, // a timeout retransmits on the same link before it fails over
-		AckGuard:         timerAckGuard,
-		DisableLinkState: true,
+		ID:        0,
+		Listen:    "unused",
+		Neighbors: map[int]string{1: "pipe"},
+		Shards:    1,
+		M:         3, // a timeout retransmits on the same link before it fails over
+		AckGuard:  timerAckGuard,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +50,9 @@ func newTimerRig(t *testing.T) *timerRig {
 	near, far := net.Pipe()
 	t.Cleanup(func() { _ = far.Close() })
 	b.neighbor(1).attach(b, near)
-	b.routesSnap.Store(&routeSnapshot{
-		lists:        map[routeKey][]int{{topic: timerTopic, sub: 1}: {1}},
-		destsByTopic: map[int32][]int{timerTopic: {1}},
+	b.ctrlSnap.Store(&ctrlSnapshot{
+		lists: map[routeKey][]int{{topic: timerTopic, sub: 1}: {1}},
+		dests: map[int32][]int{timerTopic: {1}},
 	})
 	r := &timerRig{b: b, sent: make(chan sentFrame, 1024)} // roomier than any test's frame count
 	go func() {

@@ -62,8 +62,6 @@ func soakBrokerConfig(id int, addr string, neighbors map[int]string, dataDir str
 		ID:              id,
 		Listen:          addr,
 		Neighbors:       neighbors,
-		PingInterval:    20 * time.Millisecond,
-		AdvertInterval:  40 * time.Millisecond,
 		DialRetry:       20 * time.Millisecond,
 		DialRetryMax:    250 * time.Millisecond,
 		AckGuard:        40 * time.Millisecond,
@@ -177,10 +175,8 @@ func (o *chaosOverlay) restart(t *testing.T, id int) {
 // broker for the soak topic.
 func routesReady(b *Broker, subs ...int32) func() bool {
 	return func() bool {
-		b.mu.Lock()
-		defer b.mu.Unlock()
 		for _, s := range subs {
-			if len(b.sendingListLocked(soakTopic, s)) == 0 {
+			if len(ctrlList(b, soakTopic, s)) == 0 {
 				return false
 			}
 		}
@@ -421,10 +417,6 @@ func runChaosSoak(t *testing.T, seed uint64, perPhase uint32) {
 	// gossip, and kept the data plane correct while doing it.
 	for i, b := range o.brokers {
 		st := b.Stats()
-		if !st.Ctrl.Enabled {
-			t.Errorf("broker %d: control plane disabled during soak", i)
-			continue
-		}
 		if st.Ctrl.LinkStatesSent == 0 || st.Ctrl.LinkStatesRecv == 0 {
 			t.Errorf("broker %d: no link-state gossip (sent=%d recv=%d)",
 				i, st.Ctrl.LinkStatesSent, st.Ctrl.LinkStatesRecv)

@@ -48,9 +48,9 @@ func FuzzWireRead(f *testing.F) {
 	// ...and an ID value that overflows uint32 (uvarint 2^33).
 	f.Add(append(append([]byte{0, 0, 0, 31, byte(TypeMuxDeliver)},
 		make([]byte, 24)...), 1, 0x80, 0x80, 0x80, 0x80, 0x20))
-	// An Advert whose R field is NaN — fuzz-found: NaN sinks DeepEqual
-	// comparisons even when both decoders agree bit-for-bit.
-	f.Add(AppendFrame(nil, &Advert{Topic: 1, Sub: 2, D: 3, R: math.NaN()}))
+	// A LinkState whose Gamma is NaN: NaN sinks DeepEqual comparisons even
+	// when both decoders agree bit-for-bit.
+	f.Add(AppendFrame(nil, &LinkState{Origin: 1, Epoch: 2, Links: []LinkRecord{{To: 3, Gamma: math.NaN()}}}))
 	// Relay-batch tier: a zero-length AckBatch (decoders must reject)...
 	f.Add([]byte{0, 0, 0, 2, byte(TypeAckBatch), 0})
 	// ...an AckBatch whose claimed count (uvarint 200) exceeds the body...
@@ -82,11 +82,20 @@ func FuzzWireRead(f *testing.F) {
 	lsOverflow = binary.AppendVarint(lsOverflow, 0)
 	lsOverflow = append(lsOverflow, 0, 0, 0, 0, 0, 0, 0, 0) // Gamma
 	f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(lsOverflow))), lsOverflow...))
-	// ...and a Probe truncated mid token (decoders must reject).
+	// ...a Probe truncated mid token (decoders must reject)...
 	f.Add([]byte{0, 0, 0, 5, byte(TypeProbe), 1, 2, 3, 4})
+	// ...and the membership section: a topic count (uvarint 200) past the
+	// body, an overlong (>10 byte) varint topic, and a negative deadline.
+	members := func(tail ...byte) []byte {
+		body := append([]byte{byte(TypeLinkState), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0}, tail...)
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	}
+	f.Add(members(0xC8, 0x01))
+	f.Add(members(1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 0))
+	f.Add(members(binary.AppendVarint(binary.AppendVarint([]byte{1}, 7), -1)...))
 
 	// equal is DeepEqual with a fallback for frames carrying NaN floats
-	// (an Advert's R is decoded straight from the wire, and arbitrary input
+	// (a LinkRecord's Gamma is decoded straight from the wire, and arbitrary input
 	// can put a NaN there; NaN != NaN sinks DeepEqual even when the decoders
 	// produced bit-identical values). Byte-equal re-encodings are the
 	// protocol-level agreement invariant, and the codec moves float bits

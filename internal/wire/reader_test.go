@@ -23,8 +23,6 @@ func allTypesCorpus() []Message {
 		},
 		&Data{FrameID: 1, PacketID: 2, PublishedAt: time.Unix(0, 0)},
 		&Ack{FrameID: 12345678901234},
-		&Advert{Topic: 2, Sub: 8, D: 75 * time.Millisecond, R: 0.987, Deadline: time.Second},
-		&Advert{Gone: true},
 		&Ping{Token: 555},
 		&Pong{Token: 556},
 		&Subscribe{Topic: 4, Deadline: 200 * time.Millisecond},
@@ -76,8 +74,11 @@ func allTypesCorpus() []Message {
 		&LinkState{Origin: 3, Epoch: 17, Links: []LinkRecord{
 			{To: 1, Alpha: 12 * time.Millisecond, Gamma: 0.97},
 			{To: 9, Alpha: 40 * time.Millisecond, Gamma: 0}, // withdrawal
+		}, Members: []MemberRecord{
+			{Topic: 4, Deadline: 200 * time.Millisecond},
+			{Topic: -1, Deadline: time.Second},
 		}},
-		&LinkState{Origin: 0, Epoch: 1}, // zero records: withdraws all links
+		&LinkState{Origin: 0, Epoch: 1}, // zero records: withdraws all links and topics
 		&Probe{Token: 0xDEAD},
 		&Probe{Token: 0xDEAD, Reply: true},
 	}

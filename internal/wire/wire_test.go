@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -42,8 +44,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 		},
 		&Data{FrameID: 1, PacketID: 2, PublishedAt: time.Unix(0, 0)},
 		&Ack{FrameID: 12345678901234},
-		&Advert{Topic: 2, Sub: 8, D: 75 * time.Millisecond, R: 0.987, Gone: false},
-		&Advert{Topic: 0, Sub: 0, Gone: true},
 		&Ping{Token: 555},
 		&Pong{Token: 555},
 		&Subscribe{Topic: 4, Deadline: 200 * time.Millisecond},
@@ -74,7 +74,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 				{From: 5, To: 2, Alpha: 33 * time.Millisecond, Gamma: 0.5, Epoch: 12},
 			},
 			Ctrl: CtrlStat{
-				Enabled: true, Epoch: 41, Version: 19,
+				Epoch: 41, Version: 19,
 				Rebuilds: 7, Noops: 30, TablesBuilt: 21,
 				LinkStatesSent: 88, LinkStatesRecv: 90, StaleDrops: 2,
 				ProbesSent: 14, ProbeReplies: 13,
@@ -91,7 +91,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 		&SessionUnsub{SubID: 12345, Topic: 7},
 		&MuxDeliver{
 			Topic: 4, PacketID: 77, Source: 2, PublishedAt: at,
-			SubIDs:  []uint32{0, 1, 127, 128, 1 << 20},
+			SubIDs:  []uint32{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1 << 20, 1<<32 - 1},
 			Payload: []byte("shared payload"),
 		},
 		&MuxDeliver{PacketID: 1, PublishedAt: time.Unix(0, 0)},
@@ -124,6 +124,11 @@ func TestRoundTripAllTypes(t *testing.T) {
 			{To: 2, Alpha: 0, Gamma: 0}, // withdrawn link
 		}},
 		&LinkState{Origin: -1, Epoch: 0},
+		&LinkState{Origin: 2, Epoch: 9, Members: []MemberRecord{
+			{Topic: 7, Deadline: 250 * time.Millisecond},
+			{Topic: -2147483648, Deadline: 0},
+			{Topic: 2147483647, Deadline: 1<<63 - 1},
+		}},
 		&Probe{Token: 1 << 63},
 		&Probe{Token: 0, Reply: true},
 		&WalCustody{Data: Data{
@@ -230,10 +235,39 @@ func TestReadRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
+// TestLinkStateMembershipRejectsHostile pins the membership section's
+// bounds: a topic count is checked against the body before anything is
+// allocated, overlong varints and int32-overflowing topics are rejected, and
+// so is a negative deadline.
+func TestLinkStateMembershipRejectsHostile(t *testing.T) {
+	// members wraps a membership section behind a zero-link LinkState header.
+	members := func(tail ...byte) []byte {
+		body := append([]byte{byte(TypeLinkState), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0}, tail...)
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	}
+	cases := map[string][]byte{
+		"count exceeds body": members(0xC8, 0x01),
+		"overlong topic":     members(1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 0),
+		"topic overflows":    members(binary.AppendVarint(binary.AppendVarint([]byte{1}, math.MaxInt32+1), 0)...),
+		"negative deadline":  members(binary.AppendVarint(binary.AppendVarint([]byte{1}, 7), -1)...),
+	}
+	for name, raw := range cases {
+		if _, err := Read(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: Read accepted hostile frame", name)
+		}
+		if _, err := NewReader(bytes.NewReader(raw)).Next(); err == nil {
+			t.Errorf("%s: Reader accepted hostile frame", name)
+		}
+	}
+	if _, err := Read(bytes.NewReader(members(1, 7))); !errors.Is(err, ErrTruncated) {
+		t.Errorf("membership cut mid record: err = %v, want ErrTruncated", err)
+	}
+}
+
 func TestTypeStrings(t *testing.T) {
 	for ty, want := range map[Type]string{
 		TypeHello: "HELLO", TypeData: "DATA", TypeAck: "ACK",
-		TypeAdvert: "ADVERT", TypePing: "PING", TypePong: "PONG",
+		TypePing: "PING", TypePong: "PONG",
 		TypeSubscribe: "SUBSCRIBE", TypePublish: "PUBLISH", TypeDeliver: "DELIVER",
 		TypeSessionHello: "SESSION_HELLO", TypeSessionSub: "SESSION_SUB",
 		TypeSessionUnsub: "SESSION_UNSUB", TypeMuxDeliver: "MUX_DELIVER",
@@ -246,6 +280,19 @@ func TestTypeStrings(t *testing.T) {
 	}
 	if Type(99).String() != "Type(99)" {
 		t.Errorf("unknown type string = %q", Type(99).String())
+	}
+	// The retired ADVERT tag stays a hole: every later tag keeps its byte
+	// value, including the WAL record types already on disk.
+	if Type(4).String() != "Type(4)" {
+		t.Errorf("retired tag 4 string = %q", Type(4).String())
+	}
+	for ty, want := range map[Type]uint8{
+		TypePing: 5, TypeLinkState: 19, TypeProbe: 20,
+		TypeWalCustody: 21, TypeWalClear: 22, TypeWalDeliver: 23, TypeWalMeta: 24,
+	} {
+		if uint8(ty) != want {
+			t.Errorf("%v = %d, want %d", ty, uint8(ty), want)
+		}
 	}
 }
 
