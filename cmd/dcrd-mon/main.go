@@ -1,5 +1,6 @@
 // Command dcrd-mon inspects a live DCRD broker: counters, per-neighbor
-// link estimates (alpha from pings, gamma from ACK outcomes) and the
+// link estimates (alpha from probe echoes and ACK round trips, gamma from ACK
+// outcomes) and the
 // broker's current <d, r> routing table — the live view of Algorithm 1.
 //
 //	dcrd-mon -broker localhost:7000
@@ -62,10 +63,10 @@ func printStats(out io.Writer, r *wire.StatsReply) {
 		r.BrokerID, r.Published, r.Delivered, r.Forwarded, r.Dropped)
 	fmt.Fprintf(out, "  queue drops %d, redials %d, reconnects %d\n",
 		r.QueueDrops, r.Redials, r.Reconnects)
-	fmt.Fprintf(out, "  edge: %d mux sessions, %d subscriptions\n",
+	fmt.Fprintf(out, "  edge: %d sessions, %d subscriptions\n",
 		r.Sessions, r.Subscriptions)
-	fmt.Fprintf(out, "  relay aggregation: %d ack batches (%d acks coalesced), %d bytes saved\n",
-		r.AckBatches, r.AckFramesCoalesced, r.RelayBytesSaved)
+	fmt.Fprintf(out, "  relay aggregation: %d ack batches (%d acks coalesced)\n",
+		r.AckBatches, r.AckFramesCoalesced)
 	if r.Wal.Enabled {
 		fmt.Fprintf(out, "  wal: %d appends, %d fsyncs, %d bytes, %d replayed flights, %d checkpoints\n",
 			r.Wal.Appends, r.Wal.Fsyncs, r.Wal.Bytes, r.Wal.ReplayedFlights, r.Wal.Checkpoints)

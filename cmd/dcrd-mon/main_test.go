@@ -45,7 +45,7 @@ func TestPrintStatsFull(t *testing.T) {
 	printStats(&sb, &wire.StatsReply{
 		BrokerID: 1, Published: 2, Delivered: 3, Forwarded: 4, Dropped: 5,
 		QueueDrops: 6, Redials: 7, Reconnects: 8,
-		AckBatches: 11, AckFramesCoalesced: 640, RelayBytesSaved: 7680,
+		AckBatches: 11, AckFramesCoalesced: 640,
 		Shards: []wire.ShardStat{
 			{Depth: 0, Enqueued: 100, Processed: 100, Inflight: 0},
 			{Depth: 3, Enqueued: 250, Processed: 247, Inflight: 9},
@@ -70,7 +70,7 @@ func TestPrintStatsFull(t *testing.T) {
 	for _, want := range []string{
 		"broker 1: published 2, delivered 3, forwarded 4, dropped 5",
 		"queue drops 6, redials 7, reconnects 8",
-		"relay aggregation: 11 ack batches (640 acks coalesced), 7680 bytes saved",
+		"relay aggregation: 11 ack batches (640 acks coalesced)",
 		"shards:", "enqueued 250", "processed 247", "inflight 9",
 		"up", "DOWN", "gamma 0.980",
 		"topic 7", "list 2",

@@ -1,13 +1,14 @@
 // Command dcrd-sub subscribes to topics on a live DCRD broker and prints
 // every delivery with its end-to-end latency and deadline verdict.
 //
-// The legacy single-topic mode uses the original per-subscriber protocol:
+// With -topic, one plain client subscribes: a session whose one subscriber
+// ID receives every delivery of that topic.
 //
 //	dcrd-sub -broker localhost:7002 -topic 5 -deadline 200ms
 //
-// With -topics, the edge-tier multiplexed protocol is used instead: the
-// topics are spread over -sessions mux sessions, and the broker aggregates
-// deliveries per (topic, session):
+// With -topics, the topics are spread over -sessions multiplexed sessions,
+// one subscriber ID per topic, and the broker aggregates deliveries per
+// (topic, session):
 //
 //	dcrd-sub -broker localhost:7002 -topics 1,2,3 -sessions 2
 package main
@@ -38,7 +39,7 @@ func run() error {
 	fs := flag.NewFlagSet("dcrd-sub", flag.ContinueOnError)
 	var (
 		addr     = fs.String("broker", "localhost:7000", "broker address")
-		topic    = fs.Int("topic", 0, "topic to subscribe to (legacy single-topic mode)")
+		topic    = fs.Int("topic", 0, "topic to subscribe to (one plain client, a one-ID session)")
 		topics   = fs.String("topics", "", "comma-separated topics (multiplexed session mode)")
 		sessions = fs.Int("sessions", 1, "mux sessions to spread -topics over")
 		deadline = fs.Duration("deadline", 0, "QoS delay requirement (0 = broker default)")
@@ -54,7 +55,7 @@ func run() error {
 		}
 		return runMux(*addr, *name, list, *sessions, *deadline)
 	}
-	return runLegacy(*addr, *name, int32(*topic), *deadline)
+	return runSingle(*addr, *name, int32(*topic), *deadline)
 }
 
 // parseTopics splits a comma-separated topic list ("1,2,3", blanks
@@ -78,9 +79,9 @@ func parseTopics(s string) ([]int32, error) {
 	return out, nil
 }
 
-// runLegacy is the original single-topic subscriber, wire-compatible with
-// pre-session brokers: Hello, one Subscribe, per-subscriber Deliver frames.
-func runLegacy(addr, name string, topic int32, deadline time.Duration) error {
+// runSingle subscribes one plain client (a session with subscriber ID 0) to
+// one topic and prints each delivery.
+func runSingle(addr, name string, topic int32, deadline time.Duration) error {
 	c, err := broker.Dial(addr, name)
 	if err != nil {
 		return err

@@ -131,8 +131,8 @@ func pipeChain(tb testing.TB, n int) *overlay {
 		ncLo, ncHi := lo.neighbor(i+1), hi.neighbor(i)
 		ncLo.attach(lo, pLo)
 		ncHi.attach(hi, pHi)
-		lo.goTracked(func() { lo.readNeighbor(ncLo, pLo) })
-		hi.goTracked(func() { hi.readNeighbor(ncHi, pHi) })
+		lo.goTracked(func() { lo.readNeighbor(ncLo, pLo, newConnReader(pLo)) })
+		hi.goTracked(func() { hi.readNeighbor(ncHi, pHi, newConnReader(pHi)) })
 	}
 	for i, bk := range o.brokers {
 		if err := bk.StartListener(listeners[i]); err != nil {

@@ -79,12 +79,6 @@ type Config struct {
 	// feeding each writer pipeline; a full queue drops messages after a
 	// brief backpressure wait instead of blocking the sender.
 	SendQueue int
-	// DisableRelayBatch turns off relay-plane link aggregation: the broker
-	// neither advertises wire.CapRelayBatch in its Hello nor emits
-	// AckBatch/DataBatch frames, and every received DATA is answered with an
-	// immediate legacy Ack. Aggregation is on by default and negotiated per
-	// link, so mixed overlays with legacy brokers need no configuration.
-	DisableRelayBatch bool
 	// AckBatchSize flushes a neighbor's coalesced hop-by-hop ACKs once this
 	// many are pending, even if the flush timer has not fired (default 64).
 	AckBatchSize int
@@ -224,15 +218,15 @@ type Broker struct {
 	// subscription ledger (the data plane reads them only through subsSnap).
 	mu      sync.Mutex
 	clients map[*clientConn]struct{}
-	// topics is the per-topic subscription ledger: legacy per-connection
-	// subscribers plus per-session subscriber-ID bitsets (edge.go).
+	// topics is the per-topic subscription ledger: per-session
+	// subscriber-ID bitsets (edge.go).
 	topics map[int32]*topicSubs
 	// dirtySubs queues topics whose immutable ledger must be rebuilt into
 	// the next subsSnapshot (see flushSubsLocked).
 	dirtySubs map[int32]struct{}
 	closed    bool
 
-	// subsKick nudges the session-churn snapshot flusher (buffered 1).
+	// subsKick nudges the subscription snapshot flusher (buffered 1).
 	subsKick chan struct{}
 
 	done chan struct{}
@@ -254,8 +248,8 @@ type Broker struct {
 	redials    atomic.Uint64 // failed neighbor dial attempts
 	reconnects atomic.Uint64 // neighbor re-attaches after the first
 
-	// Edge-tier gauges: live mux sessions and logical subscriptions
-	// (legacy + session) — exported through Stats and wire.StatsReply.
+	// Edge-tier gauges: live sessions and logical subscriptions — exported
+	// through Stats and wire.StatsReply.
 	sessionsGauge      atomic.Int64
 	subscriptionsGauge atomic.Int64
 
@@ -265,12 +259,10 @@ type Broker struct {
 	wireFrames atomic.Uint64
 	wireBytes  atomic.Uint64
 
-	// Relay-aggregation telemetry: AckBatch frames emitted, legacy Ack
-	// frames they replaced, and encoded bytes saved versus the legacy
-	// framing (ACK and DATA batching combined).
+	// Relay ACK coalescing telemetry: AckBatch frames emitted and the frame
+	// IDs they acknowledged.
 	ackBatches         atomic.Uint64
 	ackFramesCoalesced atomic.Uint64
-	relayBytesSaved    atomic.Uint64
 }
 
 // subsSnapshot is the data plane's immutable view of the local
@@ -531,13 +523,11 @@ type Stats struct {
 	Redials    uint64 // failed neighbor dial attempts
 	Reconnects uint64 // neighbor links re-attached after their first attach
 	// Edge-tier gauges (not counters): current level, not cumulative.
-	Sessions      uint64 // live multiplexed client sessions
-	Subscriptions uint64 // live logical subscriptions (legacy + session)
-	// Relay-aggregation counters: zero on legacy-only links or with
-	// Config.DisableRelayBatch set.
+	Sessions      uint64 // live client sessions (connections holding a subscription)
+	Subscriptions uint64 // live logical (subscriber ID, topic) subscriptions
+	// Relay ACK coalescing counters.
 	AckBatches         uint64 // AckBatch frames sent to neighbors
-	AckFramesCoalesced uint64 // legacy Ack frames those batches replaced
-	RelayBytesSaved    uint64 // encoded bytes saved vs legacy relay framing
+	AckFramesCoalesced uint64 // frame IDs those batches acknowledged
 	// Ctrl reports the gossiped link-state control plane; Links is its
 	// database's current per-link EWMA estimates with each origin's last
 	// gossip epoch.
@@ -570,7 +560,6 @@ func (b *Broker) Stats() Stats {
 
 		AckBatches:         b.ackBatches.Load(),
 		AckFramesCoalesced: b.ackFramesCoalesced.Load(),
-		RelayBytesSaved:    b.relayBytesSaved.Load(),
 	}
 }
 
@@ -617,7 +606,6 @@ func (b *Broker) statsReply(token uint64) *wire.StatsReply {
 
 		AckBatches:         b.ackBatches.Load(),
 		AckFramesCoalesced: b.ackFramesCoalesced.Load(),
-		RelayBytesSaved:    b.relayBytesSaved.Load(),
 	}
 	reply.Ctrl, reply.Links = b.ctrlStats()
 	reply.Wal = b.walStat()

@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"encoding/binary"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,11 +94,11 @@ func receiveOne(t *testing.T, c *Client, timeout time.Duration) Delivery {
 	select {
 	case d, ok := <-c.Receive():
 		if !ok {
-			t.Fatalf("client %q connection closed: %v", c.name, c.Err())
+			t.Fatalf("client %q connection closed: %v", c.s.name, c.Err())
 		}
 		return d
 	case <-time.After(timeout):
-		t.Fatalf("client %q: no delivery within %v", c.name, timeout)
+		t.Fatalf("client %q: no delivery within %v", c.s.name, timeout)
 	}
 	panic("unreachable")
 }
@@ -303,7 +305,7 @@ func TestUnknownNeighborRejected(t *testing.T) {
 	}
 	defer conn.Close()
 	// Claim to be broker 42, which is not in the config.
-	if err := writeHello(conn, 42); err != nil {
+	if err := writeHello(conn, 42, "impostor"); err != nil {
 		t.Fatal(err)
 	}
 	// The broker should close the connection promptly.
@@ -311,6 +313,88 @@ func TestUnknownNeighborRejected(t *testing.T) {
 	buf := make([]byte, 1)
 	if _, err := conn.Read(buf); err == nil {
 		t.Error("connection from unknown neighbor stayed open")
+	}
+}
+
+// TestHelloVersionMismatchRefused sends a hand-built Hello one protocol
+// version ahead, once claiming a configured neighbor and once as a client.
+// Both are refused at the handshake: the connection closes, the neighbor is
+// never attached and nothing is queued for it, no client is registered, and
+// the handshake goroutine is gone again.
+func TestHelloVersionMismatchRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Neighbor 1's address is never dialed: only a lower ID dials a higher.
+	b, err := New(Config{ID: 2, Listen: ln.Addr().String(), Neighbors: map[int]string{1: "127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.StartListener(ln); err != nil {
+		t.Fatal(err)
+	}
+	before := b.Goroutines()
+	for _, id := range []int32{1, -1} {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hello := wire.AppendFrame(nil, &wire.Hello{BrokerID: id, Name: "future"})
+		binary.BigEndian.PutUint16(hello[9:], wire.ProtocolVersion+1) // after length, tag, BrokerID
+		if _, err := conn.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err == nil {
+			t.Errorf("Hello %d of version %d: connection stayed open", id, wire.ProtocolVersion+1)
+		}
+		_ = conn.Close()
+	}
+	waitFor(t, 2*time.Second, "handshake goroutines to exit", func() bool { return b.Goroutines() == before })
+	nc := b.neighbor(1)
+	nc.mu.Lock()
+	attaches, w := nc.attaches, nc.w
+	nc.mu.Unlock()
+	if attaches != 0 || w != nil {
+		t.Errorf("neighbor 1 attached %d times (writer %v) by a mismatched Hello", attaches, w)
+	}
+	b.mu.Lock()
+	clients := len(b.clients)
+	b.mu.Unlock()
+	if clients != 0 {
+		t.Errorf("%d clients registered by a mismatched Hello", clients)
+	}
+	if st := b.Stats(); st.Reconnects != 0 || st.Sessions != 0 {
+		t.Errorf("stats after refusals: %+v", st)
+	}
+}
+
+// TestDialerBacksOffWhenRefused: a peer that closes every connection before
+// sending a frame, as a broker refusing the Hello does, counts as a failed
+// dial, so the dialer widens its backoff instead of redialing at once.
+func TestDialerBacksOffWhenRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepts atomic.Int32
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			_ = c.Close()
+		}
+	}()
+	o := newOverlayConfig(t, 1, nil, func(cfg *Config) { cfg.Neighbors = map[int]string{1: ln.Addr().String()} })
+	waitFor(t, 5*time.Second, "three refused connections", func() bool { return accepts.Load() >= 3 })
+	if st := o.brokers[0].Stats(); st.Redials < 2 {
+		t.Errorf("%d refused connections but %d failed dials: the dialer did not back off", accepts.Load(), st.Redials)
 	}
 }
 
@@ -351,11 +435,6 @@ func TestStatsCounters(t *testing.T) {
 			o.brokers[0].Stats().Forwarded >= 1 &&
 			o.brokers[1].Stats().Delivered == 1
 	})
-}
-
-// writeHello sends a raw broker hello for the unknown-neighbor test.
-func writeHello(conn net.Conn, id int32) error {
-	return wire.Write(conn, &wire.Hello{BrokerID: id, Name: "impostor"})
 }
 
 func TestStatsRequestReply(t *testing.T) {

@@ -1,27 +1,29 @@
 package broker
 
 import (
+	"bytes"
 	"fmt"
-	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// Client is a publisher/subscriber endpoint connected to one live broker.
-// It is safe for concurrent use.
+// Client is a publisher/subscriber endpoint connected to one live broker: a
+// Session whose one logical subscriber has ID 0, with every call flushed
+// before it returns. A client that never subscribes never becomes a session
+// at the broker, so publishers and monitors stay out of Stats.Sessions. It is
+// safe for concurrent use.
 type Client struct {
-	name string
-	conn net.Conn
+	s     *Session
+	inbox chan Delivery
 
-	writeMu sync.Mutex
+	// pub is Publish's message, reused so a publish allocates nothing.
+	pubMu sync.Mutex
+	pub   wire.Publish
 
 	mu        sync.Mutex
-	closed    bool
-	inbox     chan Delivery
-	readErr   error
-	readDone  chan struct{}
 	nextToken uint64
 	statsWait map[uint64]chan *wire.StatsReply
 }
@@ -38,65 +40,49 @@ type Delivery struct {
 
 // Dial connects a named client to a broker.
 func Dial(addr, name string) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	s, err := openSession(addr, name, nil)
 	if err != nil {
-		return nil, fmt.Errorf("broker client: dial %s: %w", addr, err)
-	}
-	if err := wire.Write(conn, &wire.Hello{BrokerID: -1, Name: name}); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("broker client: handshake: %w", err)
+		return nil, err
 	}
 	c := &Client{
-		name:      name,
-		conn:      conn,
+		s:         s,
 		inbox:     make(chan Delivery, 1024),
-		readDone:  make(chan struct{}),
 		statsWait: make(map[uint64]chan *wire.StatsReply),
 	}
-	go c.readLoop()
+	go s.readLoop(c.handle, func() { close(c.inbox) })
 	return c, nil
 }
 
-// readLoop pumps deliveries into the inbox until the connection drops.
-func (c *Client) readLoop() {
-	defer close(c.readDone)
-	defer close(c.inbox)
-	for {
-		msg, err := wire.Read(c.conn)
-		if err != nil {
-			c.mu.Lock()
-			if !c.closed {
-				c.readErr = err
-			}
-			c.mu.Unlock()
-			return
+// handle runs on the read loop: a MuxDeliver becomes a Delivery with its own
+// copy of the payload (the one object a delivery costs the client), and a
+// StatsReply is copied out to the Stats call awaiting its token.
+func (c *Client) handle(msg wire.Message) {
+	switch m := msg.(type) {
+	case *wire.MuxDeliver:
+		d := Delivery{
+			Topic:       m.Topic,
+			PacketID:    m.PacketID,
+			Source:      m.Source,
+			PublishedAt: m.PublishedAt,
+			Latency:     time.Since(m.PublishedAt),
+			Payload:     bytes.Clone(m.Payload),
 		}
-		switch m := msg.(type) {
-		case *wire.Deliver:
-			d := Delivery{
-				Topic:       m.Topic,
-				PacketID:    m.PacketID,
-				Source:      m.Source,
-				PublishedAt: m.PublishedAt,
-				Latency:     time.Since(m.PublishedAt),
-				Payload:     m.Payload,
-			}
-			select {
-			case c.inbox <- d:
-			default: // slow consumer: drop rather than block the link
-			}
-		case *wire.StatsReply:
-			c.mu.Lock()
-			ch := c.statsWait[m.Token]
-			delete(c.statsWait, m.Token)
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- m
-			}
-		case *wire.Pong:
-			// ignore
-		default:
-			// ignore unexpected frames
+		select {
+		case c.inbox <- d:
+		default: // slow consumer: drop rather than block the link
+		}
+	case *wire.StatsReply:
+		c.mu.Lock()
+		ch := c.statsWait[m.Token]
+		delete(c.statsWait, m.Token)
+		c.mu.Unlock()
+		if ch != nil {
+			r := *m
+			r.Neighbors = slices.Clone(m.Neighbors)
+			r.Routes = slices.Clone(m.Routes)
+			r.Shards = slices.Clone(m.Shards)
+			r.Links = slices.Clone(m.Links)
+			ch <- &r
 		}
 	}
 }
@@ -114,7 +100,7 @@ func (c *Client) Stats(timeout time.Duration) (*wire.StatsReply, error) {
 		delete(c.statsWait, token)
 		c.mu.Unlock()
 	}
-	if err := c.write(&wire.StatsRequest{Token: token}); err != nil {
+	if err := c.s.send(&wire.StatsRequest{Token: token}); err != nil {
 		cleanup()
 		return nil, err
 	}
@@ -123,30 +109,35 @@ func (c *Client) Stats(timeout time.Duration) (*wire.StatsReply, error) {
 	select {
 	case reply := <-ch:
 		return reply, nil
-	case <-c.readDone:
+	case <-c.s.Done():
 		cleanup()
-		return nil, fmt.Errorf("broker client %q: connection closed awaiting stats", c.name)
+		return nil, fmt.Errorf("broker client %q: connection closed awaiting stats", c.s.name)
 	case <-t.C:
 		cleanup()
-		return nil, fmt.Errorf("broker client %q: stats timeout after %v", c.name, timeout)
+		return nil, fmt.Errorf("broker client %q: stats timeout after %v", c.s.name, timeout)
 	}
 }
 
 // Subscribe registers this client for a topic with a QoS delay requirement
 // (0 uses the broker's default).
 func (c *Client) Subscribe(topic int32, deadline time.Duration) error {
-	return c.write(&wire.Subscribe{Topic: topic, Deadline: deadline})
+	return c.s.send(&wire.SessionSub{Topic: topic, Deadline: deadline})
 }
 
 // Unsubscribe removes this client's subscription to a topic.
 func (c *Client) Unsubscribe(topic int32) error {
-	return c.write(&wire.Unsubscribe{Topic: topic})
+	return c.s.send(&wire.SessionUnsub{Topic: topic})
 }
 
 // Publish submits a message on a topic with a QoS delay requirement
 // (0 uses the broker's default).
 func (c *Client) Publish(topic int32, deadline time.Duration, payload []byte) error {
-	return c.write(&wire.Publish{Topic: topic, Deadline: deadline, Payload: payload})
+	c.pubMu.Lock()
+	defer c.pubMu.Unlock()
+	c.pub = wire.Publish{Topic: topic, Deadline: deadline, Payload: payload}
+	err := c.s.send(&c.pub)
+	c.pub.Payload = nil
+	return err
 }
 
 // Receive returns the channel of deliveries; it closes when the connection
@@ -154,31 +145,7 @@ func (c *Client) Publish(topic int32, deadline time.Duration, payload []byte) er
 func (c *Client) Receive() <-chan Delivery { return c.inbox }
 
 // Err reports the read-loop error after Receive closes (nil on clean Close).
-func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.readErr
-}
+func (c *Client) Err() error { return c.s.Err() }
 
 // Close disconnects the client.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	err := c.conn.Close()
-	<-c.readDone
-	return err
-}
-
-func (c *Client) write(msg wire.Message) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if err := wire.Write(c.conn, msg); err != nil {
-		return fmt.Errorf("broker client %q: %w", c.name, err)
-	}
-	return nil
-}
+func (c *Client) Close() error { return c.s.Close() }

@@ -152,56 +152,48 @@ func (w *connWriter) releaseQueued() {
 // drops the connection so the dial loop can re-establish it.
 //
 // For neighbor links (nc != nil) the writer is also the relay-aggregation
-// point: when the link negotiated wire.CapRelayBatch, consecutive queued
-// Data messages are packed into DataBatch frames, and every flush drains
-// the neighbor's coalesced-ACK set into one AckBatch frame. Messages are
-// released after encoding (releaseMsg), and whatever is still queued when
-// the writer exits — stopped first, so that send can tell — is released
-// unencoded.
+// point: consecutive queued DATA messages are packed into DataBatch frames
+// (a lone one is a batch of one), and every flush drains the neighbor's
+// coalesced-ACK set into one AckBatch frame. Messages are released after
+// encoding (releaseMsg), and whatever is still queued when the writer exits
+// — stopped first, so that send can tell — is released unencoded.
 func (b *Broker) runWriter(w *connWriter, label string, nc *neighborConn, onExit func()) {
 	defer onExit()
 	defer w.releaseQueued()
 	defer w.shutdown()
 	buf := make([]byte, 0, writerBufCap)
 	var (
-		batch       wire.DataBatch // consecutive Data frames for a batch peer
-		batchLegacy int            // their legacy encoded size (telemetry)
-		release     []wire.Message // messages to release after encode
-		ackIDs      []uint64       // coalesced-ACK drain scratch
+		batch      wire.DataBatch // consecutive DATA messages, not yet encoded
+		batchBytes int            // their payload bytes, counted against maxFlushBytes
+		release    []wire.Message // messages to release after encode
+		ackIDs     []uint64       // coalesced-ACK drain scratch
 	)
 	flushBatch := func() {
 		if len(batch.Frames) == 0 {
 			return
 		}
-		base := len(buf)
 		buf = b.appendFrameChecked(buf, label, &batch)
-		if sz := len(buf) - base; sz > 0 && batchLegacy > sz {
-			b.relayBytesSaved.Add(uint64(batchLegacy - sz))
-		}
 		// The entries alias slices owned by pooled messages in release;
 		// drop the references so the scratch batch cannot pin them.
-		for i := range batch.Frames {
-			batch.Frames[i] = wire.Data{}
-		}
+		clear(batch.Frames)
 		batch.Frames = batch.Frames[:0]
-		batchLegacy = 0
+		batchBytes = 0
 	}
 	appendMsg := func(msg wire.Message) {
 		if msg == nil { // kick(): pure wakeup for the ACK coalescer
 			return
 		}
-		if d, ok := msg.(*dataMsg); ok && nc.batchTo(b) {
+		release = append(release, msg)
+		if d, ok := msg.(*dataMsg); ok {
 			batch.Frames = append(batch.Frames, d.Data)
-			batchLegacy += legacyDataBytes(&d.Data)
-			release = append(release, msg)
+			batchBytes += len(d.Payload)
 			if len(batch.Frames) >= dataBatchMaxFrames {
 				flushBatch()
 			}
 			return
 		}
-		flushBatch() // keep wire order: earlier Data goes first
+		flushBatch() // keep wire order: earlier DATA goes first
 		buf = b.appendFrameChecked(buf, label, msg)
-		release = append(release, msg)
 	}
 	for {
 		var msg wire.Message
@@ -213,7 +205,7 @@ func (b *Broker) runWriter(w *connWriter, label string, nc *neighborConn, onExit
 		buf = buf[:0]
 		appendMsg(msg)
 	fill:
-		for len(buf)+batchLegacy < maxFlushBytes {
+		for len(buf)+batchBytes < maxFlushBytes {
 			select {
 			case m := <-w.queue:
 				appendMsg(m)
@@ -287,12 +279,10 @@ type neighborConn struct {
 	sampled  bool
 	gamma    float64
 
-	// Relay-plane aggregation state (see relay.go). peerBatch records
-	// whether the currently attached peer advertised wire.CapRelayBatch in
-	// its Hello; pendingAcks is the coalesced hop-by-hop ACK set drained by
-	// the writer, with ackFlushTimer bounding how long an ACK may sit
-	// (always far inside the sender's retransmit timeout).
-	peerBatch     atomic.Bool
+	// Relay-plane ACK coalescing (see relay.go): pendingAcks is the
+	// hop-by-hop ACK set drained by the writer, with ackFlushTimer bounding
+	// how long an ACK may sit (always far inside the sender's retransmit
+	// timeout).
 	ackMu         sync.Mutex
 	pendingAcks   []uint64
 	ackFlushTimer *time.Timer
@@ -586,20 +576,32 @@ func (nc *neighborConn) noteDataAck(frameID uint64, now time.Time) (first bool) 
 	return nc.sampleAlphaLocked(now.Sub(sent))
 }
 
-// clientConn is one connected publisher/subscriber with its writer pipeline.
+// clientConn is one connected client with its writer pipeline.
 type clientConn struct {
 	name string
 	conn net.Conn
 	w    *connWriter
-	// mux marks a connection that opted into the multiplexed session
-	// protocol (SessionHello or a first SessionSub). Guarded by b.mu.
-	mux bool
+	// session marks a connection counted in Stats.Sessions: it sent a
+	// SessionHello or registered a subscriber. Guarded by b.mu.
+	session bool
 }
 
 // send enqueues one message for the client's writer pipeline. The message
 // must not be mutated afterwards.
 func (c *clientConn) send(msg wire.Message) error {
 	return c.w.send(msg)
+}
+
+// newConnReader is the pooled frame decoder every connection's read loop
+// uses, behind a buffered reader.
+func newConnReader(conn net.Conn) *wire.Reader {
+	return wire.NewReader(bufio.NewReaderSize(conn, readBufSize))
+}
+
+// writeHello opens a connection from the dialing side.
+func writeHello(conn net.Conn, id int32, name string) error {
+	_, err := conn.Write(wire.AppendFrame(nil, &wire.Hello{BrokerID: id, Name: name}))
+	return err
 }
 
 // acceptLoop handles inbound connections: the first frame must be a Hello
@@ -619,11 +621,19 @@ func (b *Broker) acceptLoop() {
 }
 
 // handleInbound performs the Hello handshake and dispatches to the broker
-// or client read loop.
+// or client read loop, which goes on with the same Reader (frames the peer
+// sent behind its Hello may already sit in its buffer). A Hello of another
+// protocol version is refused here, before anything is attached: the peer
+// sees its connection closed, which a dialing broker answers by backing off.
+// There is no reply Hello — with one dialect there is nothing to negotiate.
 func (b *Broker) handleInbound(conn net.Conn) {
 	_ = conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	msg, err := wire.Read(conn)
+	rd := newConnReader(conn)
+	msg, err := rd.Next()
 	if err != nil {
+		if errors.Is(err, wire.ErrVersion) {
+			b.logf("inbound %s refused: %v", conn.RemoteAddr(), err)
+		}
 		_ = conn.Close()
 		return
 	}
@@ -635,34 +645,23 @@ func (b *Broker) handleInbound(conn net.Conn) {
 		return
 	}
 	if hello.BrokerID >= 0 {
-		b.handleNeighborConn(int(hello.BrokerID), hello.Name, conn)
+		b.handleNeighborConn(int(hello.BrokerID), conn, rd)
 		return
 	}
-	b.handleClientConn(hello.Name, conn)
+	b.handleClientConn(hello.Name, conn, rd)
 }
 
 // handleNeighborConn registers an inbound broker link and pumps its frames.
-// The dialer's Hello Name carries its capability tokens; the acceptor
-// records them and replies with its own Hello so the dialer learns this
-// side's capabilities too (legacy dialers log the unexpected HELLO and
-// carry on with the legacy framing). The reply is written before attach
-// queues anything, so it is the first frame each way: the dialer knows how
-// this side frames relay traffic before a flood or probe arrives.
-func (b *Broker) handleNeighborConn(id int, name string, conn net.Conn) {
+func (b *Broker) handleNeighborConn(id int, conn net.Conn, rd *wire.Reader) {
 	if _, known := b.cfg.Neighbors[id]; !known {
 		b.logf("rejecting unknown neighbor %d", id)
 		_ = conn.Close()
 		return
 	}
-	if err := wire.Write(conn, &wire.Hello{BrokerID: int32(b.cfg.ID), Name: b.helloName()}); err != nil {
-		_ = conn.Close()
-		return
-	}
 	nc := b.neighbor(id)
 	nc.attach(b, conn)
-	nc.peerBatch.Store(wire.HasCap(name, wire.CapRelayBatch))
 	b.logf("neighbor %d connected (inbound)", id)
-	b.readNeighbor(nc, conn)
+	b.readNeighbor(nc, conn, rd)
 }
 
 // neighbor returns the state for a configured neighbor id. The map is built
@@ -675,7 +674,9 @@ func (b *Broker) neighbor(id int) *neighborConn {
 // dialLoop owns the outbound connection to a higher-ID neighbor. Failed
 // attempts back off exponentially (DialRetry base, DialRetryMax cap) with
 // ±25% jitter so a rebooted peer is not hammered in lockstep by every
-// neighbor at once; a successful attach resets the backoff.
+// neighbor at once. A connection the peer closed without sending a frame
+// (it refused the Hello) counts as a failed attempt; one it spoke on resets
+// the backoff.
 func (b *Broker) dialLoop(id int, addr string) {
 	nc := b.neighbor(id)
 	backoff := b.cfg.DialRetry
@@ -701,42 +702,41 @@ func (b *Broker) dialLoop(id int, addr string) {
 			continue
 		}
 		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-		if err != nil {
-			if !fail() {
-				return
+		if err == nil {
+			if err = writeHello(conn, int32(b.cfg.ID), "broker"); err != nil {
+				_ = conn.Close()
 			}
-			continue
 		}
-		if err := wire.Write(conn, &wire.Hello{BrokerID: int32(b.cfg.ID), Name: b.helloName()}); err != nil {
-			_ = conn.Close()
-			if !fail() {
-				return
+		if err == nil {
+			nc.attach(b, conn)
+			b.logf("neighbor %d connected (outbound)", id)
+			if b.readNeighbor(nc, conn, newConnReader(conn)) {
+				backoff = b.cfg.DialRetry
+				continue
 			}
-			continue
 		}
-		backoff = b.cfg.DialRetry
-		nc.attach(b, conn)
-		b.logf("neighbor %d connected (outbound)", id)
-		b.readNeighbor(nc, conn)
+		if !fail() {
+			return
+		}
 	}
 }
 
-// readNeighbor pumps frames from one broker link until it fails. Decoding
-// goes through a pooled wire.Reader over a buffered reader: messages handed
-// to handleNeighborMsg are recycled on the next frame, so handlers must not
-// retain them (or their slices) past return.
-func (b *Broker) readNeighbor(nc *neighborConn, conn net.Conn) {
+// readNeighbor pumps frames from one broker link until it fails, and reports
+// whether the peer sent any. Messages handed to handleNeighborMsg belong to
+// rd and are recycled on the next frame, so handlers must not retain them
+// (or their slices) past return.
+func (b *Broker) readNeighbor(nc *neighborConn, conn net.Conn, rd *wire.Reader) (heard bool) {
 	defer b.ctrl.kickCtrl()
 	defer nc.detach(conn)
-	rd := wire.NewReader(bufio.NewReaderSize(conn, readBufSize))
 	for {
 		msg, err := rd.Next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !b.stopping() {
 				b.logf("neighbor %d read: %v", nc.id, err)
 			}
-			return
+			return heard
 		}
+		heard = true
 		b.handleNeighborMsg(nc, msg)
 	}
 }
@@ -745,11 +745,6 @@ func (b *Broker) readNeighbor(nc *neighborConn, conn net.Conn) {
 // owned by the caller's Reader and recycled after return.
 func (b *Broker) handleNeighborMsg(nc *neighborConn, msg wire.Message) {
 	switch m := msg.(type) {
-	case *wire.Ack:
-		if nc.noteDataAck(m.FrameID, time.Now()) {
-			b.ctrl.kickCtrl()
-		}
-		b.handleAck(m.FrameID)
 	case *wire.AckBatch:
 		now := time.Now()
 		for _, id := range m.FrameIDs {
@@ -758,9 +753,6 @@ func (b *Broker) handleNeighborMsg(nc *neighborConn, msg wire.Message) {
 			}
 			b.handleAck(id)
 		}
-	case *wire.Data:
-		b.custodyAck(nc, m)
-		b.handleData(nc.id, m)
 	case *wire.DataBatch:
 		for i := range m.Frames {
 			d := &m.Frames[i]
@@ -771,19 +763,15 @@ func (b *Broker) handleNeighborMsg(nc *neighborConn, msg wire.Message) {
 		b.handleLinkState(nc, m)
 	case *wire.Probe:
 		b.handleProbe(nc, m)
-	case *wire.Hello:
-		// The acceptor's Hello reply: learn whether the peer batches relay
-		// frames (the dialer's own token went out with dialLoop's Hello).
-		nc.peerBatch.Store(wire.HasCap(m.Name, wire.CapRelayBatch))
 	default:
 		b.logf("neighbor %d sent unexpected %v", nc.id, msg.Type())
 	}
 }
 
 // handleClientConn registers a client, starts its writer pipeline and pumps
-// its requests through a pooled Reader (messages recycled per frame, same
-// ownership rule as readNeighbor).
-func (b *Broker) handleClientConn(name string, conn net.Conn) {
+// its requests (messages recycled per frame, same ownership rule as
+// readNeighbor).
+func (b *Broker) handleClientConn(name string, conn net.Conn, rd *wire.Reader) {
 	c := &clientConn{name: name, conn: conn, w: newConnWriter(conn, b.cfg.SendQueue, &b.queueDrops)}
 	b.mu.Lock()
 	if b.closed {
@@ -808,17 +796,12 @@ func (b *Broker) handleClientConn(name string, conn net.Conn) {
 		c.w.shutdown()
 		_ = conn.Close()
 	}()
-	rd := wire.NewReader(bufio.NewReaderSize(conn, readBufSize))
 	for {
 		msg, err := rd.Next()
 		if err != nil {
 			return
 		}
 		switch m := msg.(type) {
-		case *wire.Subscribe:
-			b.subscribeLocal(c, m)
-		case *wire.Unsubscribe:
-			b.unsubscribeLocal(c, m)
 		case *wire.SessionHello:
 			b.sessionHello(c, m)
 		case *wire.SessionSub:
@@ -827,8 +810,6 @@ func (b *Broker) handleClientConn(name string, conn net.Conn) {
 			b.sessionUnsub(c, m)
 		case *wire.Publish:
 			b.publishLocal(m)
-		case *wire.Ping:
-			_ = c.send(&wire.Pong{Token: m.Token})
 		case *wire.StatsRequest:
 			_ = c.send(b.statsReply(m.Token))
 		default:

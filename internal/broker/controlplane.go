@@ -396,10 +396,14 @@ func (c *ctrlPlane) localRecords() []wire.LinkRecord {
 
 // localMembers states this broker's membership: one record per topic with
 // local subscribers, carrying the loosest deadline among them (the budget
-// Algorithm 1 admits against), sorted by topic.
+// Algorithm 1 admits against), sorted by topic. Subscriptions still waiting
+// for the coalescing flusher are published first: a topic must not reach
+// the publishers before its delivery ledger does, or the first packets
+// routed here would find no one to deliver to.
 func (c *ctrlPlane) localMembers() []wire.MemberRecord {
 	b := c.b
 	b.mu.Lock()
+	b.flushSubsLocked()
 	out := make([]wire.MemberRecord, 0, len(b.topics))
 	for topic, ts := range b.topics {
 		if ts.occupied() {
@@ -459,7 +463,7 @@ func (c *ctrlPlane) floodLocal() {
 
 // flood sends one LinkState to every connected neighbor except `except`
 // (the peer it arrived from) and the origin itself. The message is shared
-// read-only across writer pipelines, like the legacy Deliver.
+// read-only across writer pipelines.
 func (c *ctrlPlane) flood(ls *wire.LinkState, except int) {
 	for id, nc := range c.b.neighbors {
 		if id == except || id == int(ls.Origin) {
@@ -548,18 +552,14 @@ func (c *ctrlPlane) probeIdle(now time.Time) {
 // estimate; an echo that is the link's first alpha sample kicks the control
 // loop, so the link joins the flooded records without waiting for a tick.
 //
-// On a batching link the echo is held for AckFlushInterval: that is what the
-// coalesced ACK of a lone DATA frame waits, so a probed idle link and a busy
-// link sampled from DATA→ACK report the same round trip. Answered at once,
-// probes made idle links look several times faster than busy ones on a fast
-// network, and Algorithm 1 moved traffic onto longer idle paths.
+// The echo is held for AckFlushInterval: that is what the coalesced ACK of a
+// lone DATA frame waits, so a probed idle link and a busy link sampled from
+// DATA→ACK report the same round trip. Answered at once, probes made idle
+// links look several times faster than busy ones on a fast network, and
+// Algorithm 1 moved traffic onto longer idle paths.
 func (b *Broker) handleProbe(nc *neighborConn, m *wire.Probe) {
 	if !m.Reply {
 		reply := &wire.Probe{Token: m.Token, Reply: true}
-		if !nc.batchTo(b) {
-			_ = nc.send(reply)
-			return
-		}
 		time.AfterFunc(b.cfg.AckFlushInterval, func() { _ = nc.send(reply) })
 		return
 	}

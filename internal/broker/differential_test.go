@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"slices"
@@ -191,45 +190,51 @@ func (l *lockedTrace) snapshot() []trace.Event {
 	return append([]trace.Event(nil), l.events...)
 }
 
-// proxyPump forwards one direction of a proxied overlay link, dropping
-// Data/Ack frames per the schedule. Control-plane traffic (link state,
-// probes) always passes. Every frame is released diffLinkDelay after it was
-// read — a delay line, not a per-frame sleep in series, so a burst of
+// proxyPump forwards one direction of a proxied overlay link, dropping DATA
+// and ACK entries per the schedule. The schedule counts per packet copy and
+// per ACK, as the simulator's links do, so batches are filtered entry by
+// entry and a batch left empty is not forwarded. Control-plane traffic (link
+// state, probes) always passes. Every frame is released diffLinkDelay after
+// it was read — a delay line, not a per-frame sleep in series, so a burst of
 // floods does not queue a probe behind it. The live links then have the
 // simulator's equal link delays, and the alphas measured from them order
 // the sending lists by hop count as the simulator's do; on bare pipes a
 // link's first round trip is a scheduling accident.
 func proxyPump(src, dst net.Conn, from, to int, sched *diffSchedule) {
 	type held struct {
-		due time.Time
-		msg wire.Message
+		due   time.Time
+		frame []byte
 	}
 	line := make(chan held, 1024) // far more frames than a scenario puts on one link within a delay
 	go func() {
 		defer close(line)
-		rd := bufio.NewReader(src)
+		rd := newConnReader(src)
 		for {
-			msg, err := wire.Read(rd)
+			msg, err := rd.Next()
 			if err != nil {
 				return
 			}
-			drop := false
-			switch msg.(type) {
-			case *wire.Data:
-				drop = sched.drop(from, to, "data")
-			case *wire.Ack:
-				drop = sched.drop(from, to, "ack")
+			switch m := msg.(type) {
+			case *wire.DataBatch:
+				m.Frames = slices.DeleteFunc(m.Frames, func(wire.Data) bool { return sched.drop(from, to, "data") })
+				if len(m.Frames) == 0 {
+					continue
+				}
+			case *wire.AckBatch:
+				m.FrameIDs = slices.DeleteFunc(m.FrameIDs, func(uint64) bool { return sched.drop(from, to, "ack") })
+				if len(m.FrameIDs) == 0 {
+					continue
+				}
 			}
-			if !drop {
-				line <- held{time.Now().Add(diffLinkDelay), msg}
-			}
+			// Re-encoded now: rd recycles msg on the next frame.
+			line <- held{time.Now().Add(diffLinkDelay), wire.AppendFrame(nil, msg)}
 		}
 	}()
 	var err error
 	for h := range line {
 		time.Sleep(time.Until(h.due))
 		if err == nil { // after a write error, drain so the reader can exit
-			err = wire.Write(dst, h.msg)
+			_, err = dst.Write(h.frame)
 		}
 	}
 }
@@ -337,8 +342,8 @@ func runLiveScenario(t *testing.T, rules []diffDropRule, wantDelivered bool, min
 		ncV := brokers[v].neighbor(u)
 		ncV.attach(brokers[v], endV)
 		u0, v0 := u, v
-		brokers[u].goTracked(func() { brokers[u0].readNeighbor(ncU, endU) })
-		brokers[v].goTracked(func() { brokers[v0].readNeighbor(ncV, endV) })
+		brokers[u].goTracked(func() { brokers[u0].readNeighbor(ncU, endU, newConnReader(endU)) })
+		brokers[v].goTracked(func() { brokers[v0].readNeighbor(ncV, endV, newConnReader(endV)) })
 		go proxyPump(proxyU, proxyV, u0, v0, sched)
 		go proxyPump(proxyV, proxyU, v0, u0, sched)
 	}

@@ -57,7 +57,7 @@ func (b *Broker) openWal() (*wal.Recovered, error) {
 // get a callback — the previous ACK may have been the thing that was lost.
 func (b *Broker) custodyAck(nc *neighborConn, m *wire.Data) {
 	if b.wal == nil {
-		b.ackData(nc, m.FrameID)
+		nc.queueAck(b, m.FrameID)
 		return
 	}
 	b.wal.AppendCustody(m, nc.id)
@@ -67,14 +67,14 @@ func (b *Broker) custodyAck(nc *neighborConn, m *wire.Data) {
 // made a custody record durable: release the withheld ACK. During shutdown
 // the ACK is skipped — the upstream retransmits to the restarted
 // incarnation, whose recovered WAL entry answers with a fresh ACK. The send
-// is a bounded enqueue into the neighbor's writer pipeline (or a coalesced
-// ACK-set insert), so the committer is never wedged behind a peer.
+// is a coalesced ACK-set insert drained by the neighbor's writer pipeline,
+// so the committer is never wedged behind a peer.
 func (b *Broker) onWalDurable(frameID uint64, from int) {
 	if b.stopping() {
 		return
 	}
 	if nc := b.neighbors[from]; nc != nil {
-		b.ackData(nc, frameID)
+		nc.queueAck(b, frameID)
 	}
 }
 

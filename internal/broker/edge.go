@@ -7,36 +7,35 @@ import (
 	"repro/internal/wire"
 )
 
-// The massive-subscriber edge tier: many logical subscribers share one TCP
-// connection (a "session", opened by wire.SessionHello) and the broker's
-// subscription state is aggregated per topic instead of per subscriber.
+// The edge tier: every client connection that subscribes is a session, and
+// many logical subscribers share it (a plain Client is a session with the
+// one subscriber ID 0). The broker's subscription state is aggregated per
+// topic instead of per subscriber.
 //
-// Control plane (under b.mu): b.topics is the per-topic ledger — legacy
-// per-connection subscribers keyed by conn, plus per-session subscriber-ID
-// bitsets. Mutations mark their topic dirty; the data plane's immutable
-// subsSnapshot is rebuilt incrementally (only dirty topics re-materialize)
-// either synchronously (legacy subscribe, disconnects — rare, preserves the
-// historical immediate visibility) or by the coalescing flusher goroutine
-// (session churn — a registration burst of 100k SessionSubs publishes a
-// handful of snapshots, not 100k).
+// Control plane (under b.mu): b.topics is the per-topic ledger of
+// per-session subscriber-ID bitsets. Mutations mark their topic dirty; the
+// data plane's immutable subsSnapshot is rebuilt incrementally (only dirty
+// topics re-materialize) by the coalescing flusher goroutine — a
+// registration burst of 100k SessionSubs publishes a handful of snapshots,
+// not 100k — or synchronously when a connection goes away.
 //
 // Data plane: shard delivery flush looks the packet's topic up in the
-// snapshot and encodes each payload once per legacy subscriber plus once
-// per (topic, session) — a MuxDeliver carrying the varint subscriber-ID
-// list — instead of once per logical subscriber. The payload bytes and the
-// snapshot's subscriber-ID slices are shared, never copied per delivery:
-// both are immutable once published (copy-on-write snapshot; a payload's
-// buffer is not recycled while a queued message holds a reference to it,
-// forward.go), so every queued wire message may alias them.
+// snapshot and encodes each payload once per (topic, session) — a
+// MuxDeliver carrying the varint subscriber-ID list — instead of once per
+// logical subscriber. The payload bytes and the snapshot's subscriber-ID
+// slices are shared, never copied per delivery: both are immutable once
+// published (copy-on-write snapshot; a payload's buffer is not recycled
+// while a queued message holds a reference to it, forward.go), so every
+// queued wire message may alias them.
 
 const (
 	// maxSessionSubID caps client-chosen subscriber IDs so a hostile
 	// session cannot force a multi-gigabyte bitset allocation; 2^20 IDs
 	// bounds one session's ledger at 128 KiB of bitset.
 	maxSessionSubID = 1 << 20
-	// subsFlushInterval is the session-churn coalescing window: dirty
-	// topics wait at most this long before the next snapshot publishes.
-	// Legacy subscribes and disconnects still flush synchronously.
+	// subsFlushInterval is the subscription coalescing window: dirty topics
+	// wait at most this long before the next snapshot publishes.
+	// Disconnects flush synchronously.
 	subsFlushInterval = 5 * time.Millisecond
 )
 
@@ -81,9 +80,6 @@ func (s bitset) appendIDs(dst []uint32) []uint32 {
 
 // topicSubs is the mutable per-topic subscription ledger (under b.mu).
 type topicSubs struct {
-	// legacy[conn] = deadline: one logical subscriber per connection, the
-	// pre-session protocol.
-	legacy map[*clientConn]time.Duration
 	// sessions[conn] = that session's subscriber-ID bitset for this topic.
 	sessions map[*clientConn]*sessionTopicSubs
 }
@@ -100,7 +96,7 @@ type sessionTopicSubs struct {
 
 // occupied reports whether the topic still has any logical subscriber.
 func (ts *topicSubs) occupied() bool {
-	return ts != nil && (len(ts.legacy) > 0 || len(ts.sessions) > 0)
+	return ts != nil && len(ts.sessions) > 0
 }
 
 // maxDeadline is the loosest QoS requirement across the topic's
@@ -108,11 +104,6 @@ func (ts *topicSubs) occupied() bool {
 // topic, which Algorithm 1 admits neighbors against.
 func (ts *topicSubs) maxDeadline() time.Duration {
 	var d time.Duration
-	for _, v := range ts.legacy {
-		if v > d {
-			d = v
-		}
-	}
 	for _, st := range ts.sessions {
 		if st.deadline > d {
 			d = st.deadline
@@ -122,13 +113,12 @@ func (ts *topicSubs) maxDeadline() time.Duration {
 }
 
 // topicLedger is the immutable per-topic delivery view inside a
-// subsSnapshot: the legacy connections plus one materialized, sorted
-// subscriber-ID slice per session. Nothing in it is mutated after publish,
-// so queued deliveries may alias the slices freely.
+// subsSnapshot: one materialized, sorted subscriber-ID slice per session.
+// Nothing in it is mutated after publish, so queued deliveries may alias the
+// slices freely.
 type topicLedger struct {
-	legacy   []*clientConn
 	sessions []sessionDelivery
-	// subs is the logical subscriber count (legacy conns + session IDs).
+	// subs is the logical subscriber count (session IDs summed).
 	subs int
 }
 
@@ -190,21 +180,11 @@ func (b *Broker) buildLedgerLocked(topic int32) *topicLedger {
 	if !ts.occupied() {
 		return nil
 	}
-	led := &topicLedger{}
-	if n := len(ts.legacy); n > 0 {
-		led.legacy = make([]*clientConn, 0, n)
-		for c := range ts.legacy {
-			led.legacy = append(led.legacy, c)
-		}
-		led.subs += n
-	}
-	if n := len(ts.sessions); n > 0 {
-		led.sessions = make([]sessionDelivery, 0, n)
-		for c, st := range ts.sessions {
-			ids := st.bits.appendIDs(make([]uint32, 0, st.count))
-			led.sessions = append(led.sessions, sessionDelivery{c: c, subIDs: ids})
-			led.subs += len(ids)
-		}
+	led := &topicLedger{sessions: make([]sessionDelivery, 0, len(ts.sessions))}
+	for c, st := range ts.sessions {
+		ids := st.bits.appendIDs(make([]uint32, 0, st.count))
+		led.sessions = append(led.sessions, sessionDelivery{c: c, subIDs: ids})
+		led.subs += len(ids)
 	}
 	return led
 }
@@ -217,7 +197,7 @@ func (b *Broker) kickSubsFlusher() {
 	}
 }
 
-// subsFlusher is the session-churn coalescer: each kick waits one
+// subsFlusher is the subscription coalescer: each kick waits one
 // subsFlushInterval (letting a subscription burst accumulate), then
 // publishes the snapshot and kicks the control loop once for the whole
 // batch, which floods the broker's new membership.
@@ -240,71 +220,22 @@ func (b *Broker) subsFlusher() {
 	}
 }
 
-// subscribeLocal registers a legacy client subscription. The control loop
-// then floods this broker's membership with the topic in it, which makes
-// the broker a destination for the topic overlay-wide.
-func (b *Broker) subscribeLocal(c *clientConn, m *wire.Subscribe) {
-	deadline := m.Deadline
-	if deadline <= 0 {
-		deadline = b.cfg.DefaultDeadline
-	}
-	b.mu.Lock()
-	ts := b.topics[m.Topic]
-	if ts == nil {
-		ts = &topicSubs{}
-		b.topics[m.Topic] = ts
-	}
-	if ts.legacy == nil {
-		ts.legacy = make(map[*clientConn]time.Duration)
-	}
-	if _, ok := ts.legacy[c]; !ok {
-		b.subscriptionsGauge.Add(1)
-	}
-	ts.legacy[c] = deadline
-	b.markSubsDirtyLocked(m.Topic)
-	// Legacy subscribes flush synchronously: the historical contract is
-	// that the subscription is delivery-visible when Subscribe returns.
-	b.flushSubsLocked()
-	b.mu.Unlock()
-	b.logf("client %q subscribed to topic %d (deadline %v)", c.name, m.Topic, deadline)
-	b.ctrl.kickCtrl()
-}
-
-// unsubscribeLocal removes one client's subscription; when it was the last
-// local subscriber the next membership flood leaves the topic out, which
-// withdraws it.
-func (b *Broker) unsubscribeLocal(c *clientConn, m *wire.Unsubscribe) {
-	b.mu.Lock()
-	if ts := b.topics[m.Topic]; ts != nil {
-		if _, ok := ts.legacy[c]; ok {
-			delete(ts.legacy, c)
-			b.subscriptionsGauge.Add(-1)
-			if !ts.occupied() {
-				delete(b.topics, m.Topic)
-			}
-			b.markSubsDirtyLocked(m.Topic)
-		}
-	}
-	b.flushSubsLocked()
-	b.mu.Unlock()
-	b.logf("client %q unsubscribed from topic %d", c.name, m.Topic)
-	b.ctrl.kickCtrl()
-}
-
-// sessionHello upgrades a client connection to a multiplexed session.
+// sessionHello counts a connection that announced itself as a session.
 func (b *Broker) sessionHello(c *clientConn, m *wire.SessionHello) {
 	b.mu.Lock()
-	promoted := !c.mux
-	c.mux = true
+	promoted := !c.session
+	c.session = true
 	b.mu.Unlock()
 	if promoted {
 		b.sessionsGauge.Add(1)
-		b.logf("client %q opened a mux session (%d subscribers expected)", c.name, m.Subscribers)
+		b.logf("client %q opened a session (%d subscribers expected)", c.name, m.Subscribers)
 	}
 }
 
 // sessionSub registers one session-local logical subscriber on a topic.
-// The snapshot publish is deferred to the coalescing flusher.
+// The snapshot publish is deferred to the coalescing flusher, which then
+// kicks the control loop: the broker's next membership flood carries the
+// topic, making it a destination overlay-wide.
 func (b *Broker) sessionSub(c *clientConn, m *wire.SessionSub) {
 	if m.SubID >= maxSessionSubID {
 		b.logf("client %q: subscriber ID %d exceeds cap %d, ignoring", c.name, m.SubID, maxSessionSubID)
@@ -315,10 +246,10 @@ func (b *Broker) sessionSub(c *clientConn, m *wire.SessionSub) {
 		deadline = b.cfg.DefaultDeadline
 	}
 	b.mu.Lock()
-	if !c.mux {
-		// A SessionSub on a connection that never sent SessionHello still
-		// promotes it: the frame itself is an unambiguous opt-in.
-		c.mux = true
+	if !c.session {
+		// A connection becomes a session on its first SessionSub; the
+		// SessionHello is optional.
+		c.session = true
 		b.sessionsGauge.Add(1)
 	}
 	ts := b.topics[m.Topic]
@@ -346,7 +277,9 @@ func (b *Broker) sessionSub(c *clientConn, m *wire.SessionSub) {
 	b.kickSubsFlusher()
 }
 
-// sessionUnsub removes one logical subscriber from a topic.
+// sessionUnsub removes one logical subscriber from a topic; when it was the
+// topic's last local subscriber the next membership flood leaves the topic
+// out, which withdraws it.
 func (b *Broker) sessionUnsub(c *clientConn, m *wire.SessionUnsub) {
 	if m.SubID >= maxSessionSubID {
 		return
@@ -373,15 +306,10 @@ func (b *Broker) sessionUnsub(c *clientConn, m *wire.SessionUnsub) {
 }
 
 // dropClientSubsLocked removes every subscription a departing connection
-// holds — legacy and session alike — marking the affected topics dirty and
-// maintaining the edge gauges. Caller holds b.mu and flushes afterwards.
+// holds, marking the affected topics dirty and maintaining the edge gauges.
+// Caller holds b.mu and flushes afterwards.
 func (b *Broker) dropClientSubsLocked(c *clientConn) {
 	for topic, ts := range b.topics {
-		if _, ok := ts.legacy[c]; ok {
-			delete(ts.legacy, c)
-			b.subscriptionsGauge.Add(-1)
-			b.markSubsDirtyLocked(topic)
-		}
 		if st, ok := ts.sessions[c]; ok {
 			delete(ts.sessions, c)
 			b.subscriptionsGauge.Add(-int64(st.count))
@@ -391,8 +319,8 @@ func (b *Broker) dropClientSubsLocked(c *clientConn) {
 			delete(b.topics, topic)
 		}
 	}
-	if c.mux {
-		c.mux = false
+	if c.session {
+		c.session = false
 		b.sessionsGauge.Add(-1)
 	}
 }

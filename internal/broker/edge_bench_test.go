@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -12,26 +11,17 @@ import (
 )
 
 // BenchmarkEdgeFanout measures what the edge tier exists to optimize: the
-// wire cost of fanning one published packet out to many local subscribers.
-//
-//   - persub: 100 legacy subscriber connections — the broker encodes one
-//     Deliver frame (payload included) per subscriber per packet.
-//   - mux: the same 100 logical subscribers over 4 multiplexed sessions —
-//     one MuxDeliver per (topic, session) carrying the payload once plus
-//     the subscriber-ID varint list.
+// wire cost of fanning one published packet out to many local subscribers —
+// 100 logical subscribers over 4 sessions, one MuxDeliver per (topic,
+// session) carrying the payload once plus the subscriber-ID varint list.
 //
 // bytes/delivery and frames/delivery come from the broker's writer-path
-// egress counters; the aggregated mode must cut both by >= 5x at this
-// fan-out (BENCH_baseline.json records the gap).
+// egress counters; TestEdgeFanoutAggregationGain holds both to a ceiling.
 func BenchmarkEdgeFanout(b *testing.B) {
-	for _, mode := range []string{"persub", "mux"} {
-		b.Run(mode, func(b *testing.B) {
-			benchEdgeFanout(b, mode)
-		})
-	}
+	b.Run("mux", benchEdgeFanout)
 }
 
-func benchEdgeFanout(b *testing.B, mode string) {
+func benchEdgeFanout(b *testing.B) {
 	const (
 		subscribers = 100
 		sessions    = 4
@@ -50,56 +40,25 @@ func benchEdgeFanout(b *testing.B, mode string) {
 		b.Fatal(err)
 	}
 
-	// got counts logical deliveries observed by the subscribers; both modes
-	// count without any lossy buffering so the benchmark can wait for
-	// exactly b.N * subscribers.
+	// got counts logical deliveries observed by the subscribers, without
+	// any lossy buffering, so the benchmark can wait for exactly
+	// b.N * subscribers.
 	var got atomic.Uint64
-	switch mode {
-	case "persub":
-		// Raw legacy connections read with a pooled Reader directly off the
-		// socket — no inbox to overflow.
-		for i := 0; i < subscribers; i++ {
-			conn, err := net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer conn.Close()
-			if err := wire.Write(conn, &wire.Hello{BrokerID: -1, Name: fmt.Sprintf("sub-%d", i)}); err != nil {
-				b.Fatal(err)
-			}
-			if err := wire.Write(conn, &wire.Subscribe{Topic: topic, Deadline: time.Second}); err != nil {
-				b.Fatal(err)
-			}
-			go func() {
-				rd := wire.NewReader(bufio.NewReaderSize(conn, readBufSize))
-				for {
-					msg, err := rd.Next()
-					if err != nil {
-						return
-					}
-					if _, ok := msg.(*wire.Deliver); ok {
-						got.Add(1)
-					}
-				}
-			}()
+	perSession := subscribers / sessions
+	for s := 0; s < sessions; s++ {
+		sess, err := DialSession(ln.Addr().String(), fmt.Sprintf("mux-%d", s), uint32(perSession),
+			func(m *wire.MuxDeliver) { got.Add(uint64(len(m.SubIDs))) })
+		if err != nil {
+			b.Fatal(err)
 		}
-	case "mux":
-		perSession := subscribers / sessions
-		for s := 0; s < sessions; s++ {
-			sess, err := DialSession(ln.Addr().String(), fmt.Sprintf("mux-%d", s), uint32(perSession),
-				func(m *wire.MuxDeliver) { got.Add(uint64(len(m.SubIDs))) })
-			if err != nil {
+		defer sess.Close()
+		for j := 0; j < perSession; j++ {
+			if err := sess.Subscribe(uint32(j), topic, time.Second); err != nil {
 				b.Fatal(err)
 			}
-			defer sess.Close()
-			for j := 0; j < perSession; j++ {
-				if err := sess.Subscribe(uint32(j), topic, time.Second); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := sess.Flush(); err != nil {
-				b.Fatal(err)
-			}
+		}
+		if err := sess.Flush(); err != nil {
+			b.Fatal(err)
 		}
 	}
 	waitDeadline := time.Now().Add(10 * time.Second)
@@ -151,26 +110,31 @@ func benchEdgeFanout(b *testing.B, mode string) {
 	b.ReportMetric(float64(want)/elapsed.Seconds(), "deliveries/sec")
 }
 
-// TestEdgeFanoutAggregationGain pins the tentpole acceptance number outside
-// the benchmark harness: at 100 subscribers per topic, the multiplexed
-// delivery path must put at least 5x fewer frames AND 5x fewer encoded
-// bytes on the wire per delivered message than the per-subscriber path.
+// Edge wire cost per logical delivery in BenchmarkEdgeFanout, about 25 %
+// over what GOMAXPROCS 2 and 8 measure. One frame per subscriber would cost
+// 1 frame and about 290 bytes (a 256-byte payload plus headers).
+const (
+	// edgeFramesCeiling: 0.040 frames/delivery measured at GOMAXPROCS 2
+	// and 8 (one MuxDeliver per session, 4 sessions of 25).
+	edgeFramesCeiling = 0.05
+	// edgeBytesCeiling: 12.6 bytes/delivery measured at GOMAXPROCS 2 and 8.
+	edgeBytesCeiling = 15.8
+)
+
+// TestEdgeFanoutAggregationGain pins what session aggregation buys outside
+// the benchmark harness: at 100 subscribers per topic over 4 sessions, frames
+// and encoded bytes per delivered message stay under their ceilings.
 func TestEdgeFanoutAggregationGain(t *testing.T) {
-	measure := func(mode string) (bytesPer, framesPer float64) {
-		res := testing.Benchmark(func(b *testing.B) { benchEdgeFanout(b, mode) })
-		return res.Extra["bytes/delivery"], res.Extra["frames/delivery"]
+	res := testing.Benchmark(benchEdgeFanout)
+	bytesPer, framesPer := res.Extra["bytes/delivery"], res.Extra["frames/delivery"]
+	t.Logf("%.1f bytes/delivery, %.3f frames/delivery over %d packets", bytesPer, framesPer, res.N)
+	if bytesPer <= 0 || framesPer <= 0 {
+		t.Fatalf("fan-out reported no wire traffic")
 	}
-	perBytes, perFrames := measure("persub")
-	muxBytes, muxFrames := measure("mux")
-	t.Logf("persub: %.1f bytes/delivery, %.3f frames/delivery", perBytes, perFrames)
-	t.Logf("mux:    %.1f bytes/delivery, %.3f frames/delivery", muxBytes, muxFrames)
-	if muxBytes <= 0 || muxFrames <= 0 {
-		t.Fatalf("mux mode reported no wire traffic")
+	if framesPer > edgeFramesCeiling {
+		t.Errorf("%.3f frames/delivery, ceiling %.3f", framesPer, edgeFramesCeiling)
 	}
-	if gain := perBytes / muxBytes; gain < 5 {
-		t.Errorf("bytes/delivery gain = %.1fx, want >= 5x", gain)
-	}
-	if gain := perFrames / muxFrames; gain < 5 {
-		t.Errorf("frames/delivery gain = %.1fx, want >= 5x", gain)
+	if bytesPer > edgeBytesCeiling {
+		t.Errorf("%.1f bytes/delivery, ceiling %.1f", bytesPer, edgeBytesCeiling)
 	}
 }

@@ -90,8 +90,9 @@ func (r *muxRecorder) counts() map[muxKey]int {
 // TestSessionAggregatedDelivery pins the tentpole behavior: one session
 // with several logical subscribers on a topic receives ONE MuxDeliver per
 // packet, carrying the full sorted subscriber-ID list and the payload once,
-// while a legacy subscriber on the same topic still gets its per-subscriber
-// Deliver. The edge gauges must track both kinds.
+// while a plain client on the same topic (a session of one) gets its own
+// delivery. The edge gauges count both sessions; the publisher, which never
+// subscribes, is not one.
 func TestSessionAggregatedDelivery(t *testing.T) {
 	b, addr := startEdgeBroker(t, 2)
 
@@ -110,23 +111,19 @@ func TestSessionAggregatedDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	legacy, err := Dial(addr, "legacy")
+	plain, err := Dial(addr, "plain")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-	if err := legacy.Subscribe(3, time.Second); err != nil {
+	defer plain.Close()
+	if err := plain.Subscribe(3, time.Second); err != nil {
 		t.Fatal(err)
 	}
 
-	// Session registration flushes asynchronously (coalescing window).
+	// Registration flushes asynchronously (coalescing window).
 	waitFor(t, 5*time.Second, "ledger to cover 4 subscribers", func() bool {
 		return b.localLedger(3).subscribers() == 4
 	})
-	st := b.Stats()
-	if st.Sessions != 1 || st.Subscriptions != 4 {
-		t.Fatalf("gauges = %d sessions / %d subscriptions, want 1/4", st.Sessions, st.Subscriptions)
-	}
 
 	pub, err := Dial(addr, "pub")
 	if err != nil {
@@ -135,6 +132,9 @@ func TestSessionAggregatedDelivery(t *testing.T) {
 	defer pub.Close()
 	if err := pub.Publish(3, time.Second, []byte("edge payload")); err != nil {
 		t.Fatal(err)
+	}
+	if st := b.Stats(); st.Sessions != 2 || st.Subscriptions != 4 {
+		t.Fatalf("gauges = %d sessions / %d subscriptions, want 2/4", st.Sessions, st.Subscriptions)
 	}
 
 	waitFor(t, 5*time.Second, "aggregated delivery", func() bool {
@@ -153,9 +153,9 @@ func TestSessionAggregatedDelivery(t *testing.T) {
 		t.Errorf("subIDs = %v, want %v (sorted ascending)", ev.subIDs, want)
 	}
 
-	d := <-legacy.Receive()
+	d := <-plain.Receive()
 	if d.Topic != 3 || string(d.Payload) != "edge payload" {
-		t.Errorf("legacy delivery = topic %d payload %q", d.Topic, d.Payload)
+		t.Errorf("plain client delivery = topic %d payload %q", d.Topic, d.Payload)
 	}
 }
 
@@ -222,55 +222,25 @@ func TestSessionUnsubNarrowsDelivery(t *testing.T) {
 	})
 }
 
-// TestLegacySubscribeCompat speaks the pre-session protocol over a raw TCP
-// connection — Hello, Subscribe, then plain reads — and requires the broker
-// to answer with per-subscriber Deliver frames, never MuxDeliver. Old
-// clients must keep working against an edge-tier broker unchanged.
-func TestLegacySubscribeCompat(t *testing.T) {
-	b, addr := startEdgeBroker(t, 2)
-
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
+// TestMembershipNeverPrecedesLedger: while the coalescing flusher still
+// holds a subscription back, the membership the control loop states for the
+// topic brings the delivery ledger with it. Otherwise publishers could get a
+// route to this broker before it can deliver, and lose the first packets.
+func TestMembershipNeverPrecedesLedger(t *testing.T) {
+	b, _ := startEdgeBroker(t, 1)
+	b.sessionSub(&clientConn{name: "sub"}, &wire.SessionSub{Topic: 6, Deadline: time.Second})
+	if m := b.ctrl.localMembers(); len(m) != 1 || m[0].Topic != 6 {
+		t.Fatalf("membership = %+v, want topic 6", m)
 	}
-	defer conn.Close()
-	if err := wire.Write(conn, &wire.Hello{BrokerID: -1, Name: "old-client"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.Write(conn, &wire.Subscribe{Topic: 2, Deadline: time.Second}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "legacy subscription", func() bool {
-		return b.localLedger(2).subscribers() == 1
-	})
-
-	pub, err := Dial(addr, "pub")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	if err := pub.Publish(2, time.Second, []byte("compat")); err != nil {
-		t.Fatal(err)
-	}
-
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	msg, err := wire.Read(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, ok := msg.(*wire.Deliver)
-	if !ok {
-		t.Fatalf("legacy subscriber received %v, want DELIVER", msg.Type())
-	}
-	if d.Topic != 2 || string(d.Payload) != "compat" {
-		t.Errorf("delivery = topic %d payload %q", d.Topic, d.Payload)
+	if n := b.localLedger(6).subscribers(); n != 1 {
+		t.Errorf("topic 6 is stated as membership while its ledger serves %d subscribers", n)
 	}
 }
 
 // TestSessionChurnExactlyOnce is the snapshot-swap race test: while one
 // publisher streams packets, churner subscribers flip on and off the topic
-// (session and legacy alike, forcing continuous copy-on-write ledger
-// rebuilds) — and a set of stable logical subscribers must still see every
+// (multi-ID sessions and plain clients alike, forcing continuous
+// copy-on-write ledger rebuilds) — and a set of stable logical subscribers must still see every
 // packet exactly once: no drop and no duplicate across snapshot swaps.
 // Run under -race this also exercises the flusher/data-plane handoff.
 func TestSessionChurnExactlyOnce(t *testing.T) {
@@ -336,11 +306,11 @@ func TestSessionChurnExactlyOnce(t *testing.T) {
 				}
 			}
 		}()
-		// Legacy churner: synchronous snapshot flush on every flip.
+		// Plain-client churner: every flip is flushed to the broker at once.
 		churnWg.Add(1)
 		go func() {
 			defer churnWg.Done()
-			cl, err := Dial(addr, fmt.Sprintf("churn-legacy-%d", c))
+			cl, err := Dial(addr, fmt.Sprintf("churn-plain-%d", c))
 			if err != nil {
 				churnErr <- err
 				return

@@ -27,9 +27,8 @@ import (
 //   - the mailbox item, from creation until the shard has applied it;
 //   - the engine, one per work that carries the packet (algo2.Packet);
 //   - a queued local delivery, from shardShell.Deliver to the shard's flush;
-//   - each DATA, MuxDeliver or legacy Deliver message that borrows the
-//     bytes, from a successful send until its writer has encoded it (one
-//     per writer for the shared legacy message).
+//   - each DATA or MuxDeliver message that borrows the bytes, from a
+//     successful send until its writer has encoded it.
 //
 // A *payload is never nil where one is expected: stored in Packet.Payload
 // (an any), a nil pointer would be a non-nil interface.
@@ -226,33 +225,14 @@ func (b *Broker) ackShard(frameID uint64) *shard {
 
 // deliver pushes one packet to a topic ledger's local subscribers. Sends are
 // bounded enqueues into per-connection writer pipelines, safe from any
-// goroutine. Legacy subscribers share one Deliver message, built only when
-// the ledger has any; every multiplexed session gets ONE pooled MuxDeliver
-// carrying its subscriber-ID list (the ledger's ID slices are immutable, see
-// edge.go), so the aggregation costs one small message header per session,
-// not one payload copy per subscriber. The caller's payload reference is
-// only borrowed: each message that reaches a writer queue takes its own,
-// which that writer drops after encoding. The delivered counter counts
-// logical deliveries either way.
+// goroutine. Every session gets ONE pooled MuxDeliver carrying its
+// subscriber-ID list (the ledger's ID slices are immutable, see edge.go), so
+// the aggregation costs one small message header per session, not one
+// payload copy per subscriber. The caller's payload reference is only
+// borrowed: each message that reaches a writer queue takes its own, which
+// that writer drops after encoding. The delivered counter counts logical
+// deliveries.
 func (b *Broker) deliver(q *queuedDeliver) {
-	if len(q.led.legacy) > 0 {
-		msg := &deliverMsg{payload: q.payload, Deliver: wire.Deliver{
-			Topic:       q.topic,
-			PacketID:    q.pktID,
-			Source:      q.source,
-			PublishedAt: q.pubAt,
-			Payload:     q.payload.buf,
-		}}
-		for _, c := range q.led.legacy {
-			q.payload.Retain()
-			if err := c.send(msg); err != nil {
-				releaseMsg(msg) // this writer's reference; the message is shared
-				b.logf("deliver to %q: %v", c.name, err)
-				continue
-			}
-			b.delivered.Add(1)
-		}
-	}
 	for i := range q.led.sessions {
 		sd := &q.led.sessions[i]
 		// Each MuxDeliver has exactly one owner (one session writer), so the

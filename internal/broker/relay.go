@@ -9,70 +9,28 @@ import (
 )
 
 // Relay-plane link aggregation: the engine's decisions are untouched, but
-// the wire between batch-capable brokers gets cheaper in both directions.
+// the wire between brokers is cheap in both directions.
 //
-//   - Outbound DATA: the writer pipeline packs consecutive wire.Data
-//     messages bound for one neighbor into a single wire.DataBatch frame
-//     with delta-compressed headers (see runWriter).
+//   - Outbound DATA: the writer pipeline packs consecutive DATA messages
+//     bound for one neighbor into a single wire.DataBatch frame with
+//     delta-compressed headers (see runWriter); a lone packet goes out as a
+//     batch of one.
 //   - Hop-by-hop ACKs: instead of answering every received DATA with its
-//     own Ack frame, the receiver coalesces pending frame IDs per neighbor
-//     and flushes them as one AckBatch — when Config.AckBatchSize are
-//     pending, when Config.AckFlushInterval expires, or piggybacked on any
-//     writer flush that is happening anyway.
+//     own frame, the receiver coalesces pending frame IDs per neighbor and
+//     flushes them as one AckBatch — when Config.AckBatchSize are pending,
+//     when Config.AckFlushInterval expires, or piggybacked on any writer
+//     flush that is happening anyway.
 //
-// Both directions are negotiated per link through wire.CapRelayBatch in the
-// Hello exchange: a peer that never advertised the capability keeps the
-// legacy one-frame-per-packet, one-ack-per-frame protocol, bit for bit.
-// Coalescing is safe because custody is frame-level: the flush interval
-// sits far inside the sender's ACK timeout (2*alpha + AckGuard), and a
-// retransmission triggered by an unlucky flush is absorbed by the
-// receiver's frame dedup — delayed ACKs cost at most gamma estimate noise,
-// never correctness.
+// Every link speaks this one framing; there is nothing to negotiate (the
+// Hello carries a protocol version instead, see handleInbound). Coalescing
+// is safe because custody is frame-level: the flush interval sits far inside
+// the sender's ACK timeout (2*alpha + AckGuard), and a retransmission
+// triggered by an unlucky flush is absorbed by the receiver's frame dedup —
+// delayed ACKs cost at most gamma estimate noise, never correctness.
 
-const (
-	// dataBatchMaxFrames caps how many Data frames one DataBatch carries;
-	// a writer flush emits several batches when more are queued.
-	dataBatchMaxFrames = 64
-	// legacyAckFrameBytes is the encoded size of a legacy Ack frame
-	// (4-byte length + type + 8-byte frame ID) — the RelayBytesSaved
-	// reference cost per coalesced ACK.
-	legacyAckFrameBytes = 13
-)
-
-// legacyDataBytes is the encoded size of d as a standalone legacy Data
-// frame: 4-byte length + type byte, 40 bytes of fixed header fields, two
-// 2-byte node counts plus 4 bytes per node, 4-byte payload length plus the
-// payload — the RelayBytesSaved reference cost per batched DATA.
-func legacyDataBytes(d *wire.Data) int {
-	return 53 + 4*(len(d.Dests)+len(d.Path)) + len(d.Payload)
-}
-
-// helloName is the Name field of this broker's Hello to a neighbor: a
-// label plus the relay-batch token when this configuration batches.
-func (b *Broker) helloName() string {
-	if b.cfg.DisableRelayBatch {
-		return "broker"
-	}
-	return wire.AddCap("broker", wire.CapRelayBatch)
-}
-
-// batchTo reports whether relay frames to this neighbor may use the batch
-// framing: aggregation enabled locally and the current peer advertised the
-// capability. Nil-safe so client writer pipelines can ask too.
-func (nc *neighborConn) batchTo(b *Broker) bool {
-	return nc != nil && !b.cfg.DisableRelayBatch && nc.peerBatch.Load()
-}
-
-// ackData acknowledges one received DATA frame hop-by-hop: immediately
-// with a legacy Ack frame, or — when the link negotiated relay batching —
-// through the neighbor's ACK coalescer.
-func (b *Broker) ackData(nc *neighborConn, frameID uint64) {
-	if !nc.batchTo(b) {
-		_ = nc.send(&wire.Ack{FrameID: frameID})
-		return
-	}
-	nc.queueAck(b, frameID)
-}
+// dataBatchMaxFrames caps how many DATA messages one DataBatch carries; a
+// writer flush emits several batches when more are queued.
+const dataBatchMaxFrames = 64
 
 // queueAck adds one frame ID to the neighbor's pending coalesced ACKs. The
 // first pending ACK arms the flush timer; reaching AckBatchSize kicks the
@@ -117,12 +75,10 @@ func (nc *neighborConn) kickWriter() {
 }
 
 // resetRelay clears the per-link aggregation state when a connection is
-// replaced or closed: the next peer may be legacy, so pending coalesced
-// ACKs must not leak onto its stream (the peer retransmits unACKed frames
-// and the receiver's frame dedup absorbs the duplicates) and the
-// capability is re-learned from its Hello.
+// replaced or closed: pending coalesced ACKs belong to the old connection
+// (the peer retransmits unACKed frames and the receiver's frame dedup
+// absorbs the duplicates).
 func (nc *neighborConn) resetRelay() {
-	nc.peerBatch.Store(false)
 	nc.ackMu.Lock()
 	nc.pendingAcks = nc.pendingAcks[:0]
 	if nc.ackFlushTimer != nil {
@@ -143,13 +99,9 @@ func (nc *neighborConn) resetRelay() {
 func (b *Broker) appendAckBatch(buf []byte, label string, ids []uint64) []byte {
 	slices.Sort(ids)
 	ab := wire.AckBatch{FrameIDs: ids}
-	base := len(buf)
 	buf = b.appendFrameChecked(buf, label, &ab)
 	b.ackBatches.Add(1)
 	b.ackFramesCoalesced.Add(uint64(len(ids)))
-	if sz := len(buf) - base; sz > 0 && len(ids)*legacyAckFrameBytes > sz {
-		b.relayBytesSaved.Add(uint64(len(ids)*legacyAckFrameBytes - sz))
-	}
 	return buf
 }
 
@@ -157,12 +109,10 @@ func (b *Broker) appendAckBatch(buf []byte, label string, ids []uint64) []byte {
 // bytes of a payload (forward.go) and holds one reference to it from a
 // successful send until the writer has encoded it; the wrappers below add
 // that reference to the wire structs, whose methods they promote, so the
-// queue still holds plain wire.Messages. The two built per packet — the
-// DATA of a relay send and the MuxDeliver of a (topic, session) delivery —
-// have exactly one owner at all times and are pooled: the producer takes one,
-// the writer returns it after encoding (releaseMsg), a failed send returns it
-// on the spot. The legacy Deliver is shared by every legacy subscriber's
-// writer, so it is not pooled and holds one payload reference per writer.
+// queue still holds plain wire.Messages. Both — the DATA of a relay send and
+// the MuxDeliver of a (topic, session) delivery — have exactly one owner at
+// all times and are pooled: the producer takes one, the writer returns it
+// after encoding (releaseMsg), a failed send returns it on the spot.
 type (
 	dataMsg struct {
 		wire.Data
@@ -170,10 +120,6 @@ type (
 	}
 	muxMsg struct {
 		wire.MuxDeliver
-		payload *payload
-	}
-	deliverMsg struct {
-		wire.Deliver
 		payload *payload
 	}
 )
@@ -201,7 +147,5 @@ func releaseMsg(m wire.Message) {
 		t.Dests = t.Dests[:0]
 		t.Path = t.Path[:0]
 		dataMsgPool.Put(t)
-	case *deliverMsg:
-		t.payload.Release()
 	}
 }

@@ -13,7 +13,8 @@ import (
 // Session is a multiplexed subscriber endpoint: many logical subscribers
 // share one TCP connection, and the broker aggregates deliveries — one
 // MuxDeliver frame per (topic, session) carrying the payload once plus the
-// subscriber-ID list — instead of sending one frame per subscriber.
+// subscriber-ID list — instead of sending one frame per subscriber. A plain
+// Client is a Session with the one subscriber ID 0.
 //
 // Deliveries are dispatched to the handler on the session's read goroutine
 // through a pooled wire.Reader: the *wire.MuxDeliver and every slice it
@@ -25,9 +26,8 @@ import (
 // 100k subscribers coalesces into large writes; call Flush after the last
 // one to put the tail on the wire.
 type Session struct {
-	name    string
-	conn    net.Conn
-	handler func(*wire.MuxDeliver)
+	name string
+	conn net.Conn
 
 	writeMu sync.Mutex
 	bw      *bufio.Writer
@@ -44,39 +44,55 @@ type Session struct {
 // broker only logs it today); handler receives every aggregated delivery
 // (see the Session ownership rules). A nil handler discards deliveries.
 func DialSession(addr, name string, expect uint32, handler func(*wire.MuxDeliver)) (*Session, error) {
+	s, err := openSession(addr, name, &wire.SessionHello{Subscribers: expect})
+	if err != nil {
+		return nil, err
+	}
+	go s.readLoop(func(msg wire.Message) {
+		if m, ok := msg.(*wire.MuxDeliver); ok && handler != nil {
+			handler(m)
+		}
+	}, nil)
+	return s, nil
+}
+
+// openSession dials a broker and puts the client Hello, followed by first
+// when it is not nil, on the wire in one flush. The caller starts the read
+// loop.
+func openSession(addr, name string, first wire.Message) (*Session, error) {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
-		return nil, fmt.Errorf("broker session: dial %s: %w", addr, err)
+		return nil, fmt.Errorf("broker session %q: dial %s: %w", name, addr, err)
 	}
 	s := &Session{
 		name:     name,
 		conn:     conn,
-		handler:  handler,
 		bw:       bufio.NewWriterSize(conn, writerBufCap),
 		readDone: make(chan struct{}),
 	}
-	if err := s.write(&wire.Hello{BrokerID: -1, Name: name}); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("broker session: handshake: %w", err)
+	err = s.write(&wire.Hello{BrokerID: -1, Name: name})
+	if err == nil && first != nil {
+		err = s.write(first)
 	}
-	if err := s.write(&wire.SessionHello{Subscribers: expect}); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("broker session: handshake: %w", err)
+	if err == nil {
+		err = s.Flush()
 	}
-	if err := s.Flush(); err != nil {
+	if err != nil {
 		_ = conn.Close()
-		return nil, err
+		return nil, fmt.Errorf("broker session %q: handshake: %w", name, err)
 	}
-	go s.readLoop()
 	return s, nil
 }
 
-// readLoop pumps aggregated deliveries into the handler until the
-// connection drops. Messages are pooled-Reader-owned: valid only until the
-// next frame.
-func (s *Session) readLoop() {
+// readLoop hands every decoded frame to handle until the connection drops,
+// then runs exit (when set). Messages are pooled-Reader-owned: valid only
+// until the next frame.
+func (s *Session) readLoop(handle func(wire.Message), exit func()) {
 	defer close(s.readDone)
-	rd := wire.NewReader(bufio.NewReaderSize(s.conn, readBufSize))
+	if exit != nil {
+		defer exit()
+	}
+	rd := newConnReader(s.conn)
 	for {
 		msg, err := rd.Next()
 		if err != nil {
@@ -87,9 +103,7 @@ func (s *Session) readLoop() {
 			s.mu.Unlock()
 			return
 		}
-		if m, ok := msg.(*wire.MuxDeliver); ok && s.handler != nil {
-			s.handler(m)
-		}
+		handle(msg)
 	}
 }
 
@@ -110,10 +124,7 @@ func (s *Session) Unsubscribe(subID uint32, topic int32) error {
 func (s *Session) Flush() error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	if err := s.bw.Flush(); err != nil {
-		return fmt.Errorf("broker session %q: %w", s.name, err)
-	}
-	return nil
+	return s.flushLocked()
 }
 
 // Err reports the read-loop error after the session ends (nil on clean
@@ -147,11 +158,32 @@ func (s *Session) Close() error {
 func (s *Session) write(msg wire.Message) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
+	return s.writeLocked(msg)
+}
+
+// send writes one frame and flushes it, with anything buffered before it.
+func (s *Session) send(msg wire.Message) error {
+	s.writeMu.Lock()
+	defer s.writeMu.Unlock()
+	if err := s.writeLocked(msg); err != nil {
+		return err
+	}
+	return s.flushLocked()
+}
+
+func (s *Session) writeLocked(msg wire.Message) error {
 	s.scratch = wire.AppendFrame(s.scratch[:0], msg)
 	if !wire.FrameFits(s.scratch, 0) {
 		return fmt.Errorf("broker session %q: oversized %v frame", s.name, msg.Type())
 	}
 	if _, err := s.bw.Write(s.scratch); err != nil {
+		return fmt.Errorf("broker session %q: %w", s.name, err)
+	}
+	return nil
+}
+
+func (s *Session) flushLocked() error {
+	if err := s.bw.Flush(); err != nil {
 		return fmt.Errorf("broker session %q: %w", s.name, err)
 	}
 	return nil

@@ -9,7 +9,7 @@ import (
 )
 
 // timerRig is one broker whose only neighbor (1) is a net.Pipe end the test
-// reads itself: every Data frame broker 0 puts on the link shows up on sent
+// reads itself: every DATA broker 0 puts on the link shows up on sent
 // with its arrival time, and no ACK ever comes back unless the test queues
 // one. The route (timerTopic, 1) → [1] is stored straight into the data
 // plane's snapshot; nothing replaces it: the link is never measured (the far
@@ -62,8 +62,11 @@ func newTimerRig(t *testing.T) *timerRig {
 			if err != nil {
 				return
 			}
-			if d, ok := msg.(*wire.Data); ok {
-				r.sent <- sentFrame{id: d.FrameID, at: time.Now()}
+			if db, ok := msg.(*wire.DataBatch); ok {
+				now := time.Now()
+				for _, d := range db.Frames {
+					r.sent <- sentFrame{id: d.FrameID, at: now}
+				}
 			}
 		}
 	}()

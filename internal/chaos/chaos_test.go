@@ -104,8 +104,9 @@ func TestPartitionScheduleDeterministic(t *testing.T) {
 type pipeHarness struct {
 	t      *testing.T
 	n      *Network
-	client net.Conn // test writes frames here (plays the remote broker)
-	server net.Conn // wrapped conn the "owner broker" would read
+	client net.Conn     // test writes frames here (plays the remote broker)
+	server net.Conn     // wrapped conn the "owner broker" would read
+	rd     *wire.Reader // decodes server
 }
 
 func newPipeHarness(t *testing.T, n *Network, peerID int32) *pipeHarness {
@@ -128,7 +129,7 @@ func newPipeHarness(t *testing.T, n *Network, peerID int32) *pipeHarness {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = client.Close() })
-	if err := wire.Write(client, &wire.Hello{BrokerID: peerID, Name: "test"}); err != nil {
+	if _, err := client.Write(wire.AppendFrame(nil, &wire.Hello{BrokerID: peerID, Name: "test"})); err != nil {
 		t.Fatal(err)
 	}
 	var server net.Conn
@@ -138,33 +139,33 @@ func newPipeHarness(t *testing.T, n *Network, peerID int32) *pipeHarness {
 		t.Fatal("accept timed out")
 	}
 	t.Cleanup(func() { _ = server.Close() })
-	h := &pipeHarness{t: t, n: n, client: client, server: server}
+	h := &pipeHarness{t: t, n: n, client: client, server: server, rd: wire.NewReader(server)}
 	// Consume the Hello on the server side so subsequent reads see data.
-	if _, err := wire.Read(server); err != nil {
+	if _, err := h.rd.Next(); err != nil {
 		t.Fatalf("reading handshake: %v", err)
 	}
 	return h
 }
 
-// sendPings writes n ping frames from the client side.
-func (h *pipeHarness) sendPings(n int) {
+// sendProbes writes n probe frames from the client side, one write each.
+func (h *pipeHarness) sendProbes(n int) {
 	for i := 0; i < n; i++ {
-		if err := wire.Write(h.client, &wire.Ping{Token: uint64(i + 1)}); err != nil {
-			h.t.Fatalf("ping %d: %v", i, err)
+		if _, err := h.client.Write(wire.AppendFrame(nil, &wire.Probe{Token: uint64(i + 1)})); err != nil {
+			h.t.Fatalf("probe %d: %v", i, err)
 		}
 	}
 }
 
-// readPings reads frames until timeout, returning received ping tokens.
-func (h *pipeHarness) readPings(timeout time.Duration) []uint64 {
+// readProbes reads frames until timeout, returning received probe tokens.
+func (h *pipeHarness) readProbes(timeout time.Duration) []uint64 {
 	_ = h.server.SetReadDeadline(time.Now().Add(timeout))
 	var got []uint64
 	for {
-		msg, err := wire.Read(h.server)
+		msg, err := h.rd.Next()
 		if err != nil {
 			return got
 		}
-		if p, ok := msg.(*wire.Ping); ok {
+		if p, ok := msg.(*wire.Probe); ok {
 			got = append(got, p.Token)
 		}
 	}
@@ -174,8 +175,8 @@ func TestPassthroughClean(t *testing.T) {
 	n := NewNetwork(Config{Seed: 1})
 	defer n.Close()
 	h := newPipeHarness(t, n, 5)
-	h.sendPings(10)
-	got := h.readPings(500 * time.Millisecond)
+	h.sendProbes(10)
+	got := h.readProbes(500 * time.Millisecond)
 	if len(got) != 10 {
 		t.Fatalf("clean link delivered %d/10 frames", len(got))
 	}
@@ -185,8 +186,8 @@ func TestClientConnectionsExemptFromFaults(t *testing.T) {
 	n := NewNetwork(Config{Seed: 1, Default: Faults{DropProb: 1}})
 	defer n.Close()
 	h := newPipeHarness(t, n, -1) // Hello with BrokerID -1 ⇒ client
-	h.sendPings(10)
-	got := h.readPings(500 * time.Millisecond)
+	h.sendProbes(10)
+	got := h.readProbes(500 * time.Millisecond)
 	if len(got) != 10 {
 		t.Fatalf("client link delivered %d/10 frames despite DropProb=1 default", len(got))
 	}
@@ -196,8 +197,8 @@ func TestDropEverything(t *testing.T) {
 	n := NewNetwork(Config{Seed: 1, Default: Faults{DropProb: 1}})
 	defer n.Close()
 	h := newPipeHarness(t, n, 5)
-	h.sendPings(10)
-	if got := h.readPings(300 * time.Millisecond); len(got) != 0 {
+	h.sendProbes(10)
+	if got := h.readProbes(300 * time.Millisecond); len(got) != 0 {
 		t.Fatalf("DropProb=1 delivered %d frames", len(got))
 	}
 	if s := n.Stats(); s.FramesDropped == 0 {
@@ -209,8 +210,8 @@ func TestDuplicateEverything(t *testing.T) {
 	n := NewNetwork(Config{Seed: 1, Default: Faults{DupProb: 1}})
 	defer n.Close()
 	h := newPipeHarness(t, n, 5)
-	h.sendPings(5)
-	got := h.readPings(500 * time.Millisecond)
+	h.sendProbes(5)
+	got := h.readProbes(500 * time.Millisecond)
 	if len(got) != 10 {
 		t.Fatalf("DupProb=1 delivered %d frames, want 10", len(got))
 	}
@@ -221,8 +222,8 @@ func TestPartitionDropsFrames(t *testing.T) {
 		Default: Faults{PartitionProb: 1}})
 	defer n.Close()
 	h := newPipeHarness(t, n, 5)
-	h.sendPings(10)
-	if got := h.readPings(300 * time.Millisecond); len(got) != 0 {
+	h.sendProbes(10)
+	if got := h.readProbes(300 * time.Millisecond); len(got) != 0 {
 		t.Fatalf("partitioned link delivered %d frames", len(got))
 	}
 }
@@ -231,9 +232,9 @@ func TestCorruptionPoisonsStream(t *testing.T) {
 	n := NewNetwork(Config{Seed: 1, Default: Faults{CorruptProb: 1}})
 	defer n.Close()
 	h := newPipeHarness(t, n, 5)
-	h.sendPings(1)
+	h.sendProbes(1)
 	_ = h.server.SetReadDeadline(time.Now().Add(time.Second))
-	_, err := wire.Read(h.server)
+	_, err := h.rd.Next()
 	if err == nil {
 		t.Fatal("corrupted frame decoded cleanly")
 	}
@@ -248,9 +249,9 @@ func TestResetClosesConnection(t *testing.T) {
 	n := NewNetwork(Config{Seed: 1, Default: Faults{ResetProb: 1}})
 	defer n.Close()
 	h := newPipeHarness(t, n, 5)
-	h.sendPings(1)
+	h.sendProbes(1)
 	_ = h.server.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := wire.Read(h.server); err == nil {
+	if _, err := h.rd.Next(); err == nil {
 		t.Fatal("reset link stayed readable")
 	}
 	if s := n.Stats(); s.Resets == 0 {
@@ -264,8 +265,8 @@ func TestStallDelaysDelivery(t *testing.T) {
 	defer n.Close()
 	h := newPipeHarness(t, n, 5)
 	start := time.Now()
-	h.sendPings(1)
-	got := h.readPings(2 * time.Second)
+	h.sendProbes(1)
+	got := h.readProbes(2 * time.Second)
 	if len(got) != 1 {
 		t.Fatalf("stalled link delivered %d frames, want 1", len(got))
 	}
@@ -279,8 +280,8 @@ func TestSetLinkOverridesDefault(t *testing.T) {
 	defer n.Close()
 	n.SetLink(0, 5, Faults{}) // this link is clean despite the default
 	h := newPipeHarness(t, n, 5)
-	h.sendPings(5)
-	if got := h.readPings(500 * time.Millisecond); len(got) != 5 {
+	h.sendProbes(5)
+	if got := h.readProbes(500 * time.Millisecond); len(got) != 5 {
 		t.Fatalf("overridden link delivered %d/5 frames", len(got))
 	}
 }
@@ -289,13 +290,13 @@ func TestSetActiveHeals(t *testing.T) {
 	n := NewNetwork(Config{Seed: 1, Default: Faults{DropProb: 1}})
 	defer n.Close()
 	h := newPipeHarness(t, n, 5)
-	h.sendPings(3)
-	if got := h.readPings(200 * time.Millisecond); len(got) != 0 {
+	h.sendProbes(3)
+	if got := h.readProbes(200 * time.Millisecond); len(got) != 0 {
 		t.Fatalf("active chaos delivered %d frames", len(got))
 	}
 	n.SetActive(false)
-	h.sendPings(3)
-	if got := h.readPings(500 * time.Millisecond); len(got) != 3 {
+	h.sendProbes(3)
+	if got := h.readProbes(500 * time.Millisecond); len(got) != 3 {
 		t.Fatalf("healed link delivered %d/3 frames", len(got))
 	}
 }
@@ -304,7 +305,7 @@ func TestNetworkCloseTerminatesPumps(t *testing.T) {
 	n := NewNetwork(Config{Seed: 1,
 		Default: Faults{StallProb: 1, StallFor: time.Hour}})
 	h := newPipeHarness(t, n, 5)
-	h.sendPings(1) // pump is now stalled for an hour
+	h.sendProbes(1) // pump is now stalled for an hour
 	doneCh := make(chan struct{})
 	go func() { n.Close(); close(doneCh) }()
 	select {
@@ -319,8 +320,8 @@ func TestDelayAddsLatency(t *testing.T) {
 	defer n.Close()
 	h := newPipeHarness(t, n, 5)
 	start := time.Now()
-	h.sendPings(1)
-	got := h.readPings(2 * time.Second)
+	h.sendProbes(1)
+	got := h.readProbes(2 * time.Second)
 	if len(got) != 1 {
 		t.Fatalf("delayed link delivered %d frames", len(got))
 	}

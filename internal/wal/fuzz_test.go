@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"testing"
 	"time"
@@ -11,12 +9,7 @@ import (
 )
 
 // record encodes one CRC-framed WAL record, as the committer would.
-func record(msg wire.Message) []byte {
-	buf := []byte{0, 0, 0, 0}
-	buf = wire.AppendFrame(buf, msg)
-	binary.BigEndian.PutUint32(buf, crc32.Checksum(buf[4:], castagnoli))
-	return buf
-}
+func record(msg wire.Message) []byte { return appendRecord(nil, msg) }
 
 // FuzzWAL feeds arbitrary bytes to recovery as a segment file. Recovery must
 // never panic, and — the exactly-once property — must never hand back a
@@ -42,7 +35,7 @@ func FuzzWAL(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(record(&wire.Ack{FrameID: 9})) // valid frame, wrong record type
+	f.Add(record(&wire.Probe{Token: 9})) // valid frame, wrong record type
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -9,7 +9,8 @@
 //	...     one wire-codec frame: uint32 length | uint8 type | body
 //
 // The frame payload reuses the zero-alloc wire codec (internal/wire) as the
-// record format, so recovery is the standard frame decoder plus a checksum:
+// record format, so recovery is the standard pooled frame decoder plus a
+// checksum:
 //
 //	WAL_CUSTODY  the full Data frame custody was taken for (FrameID 0 for
 //	             locally published packets)
@@ -43,7 +44,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -197,9 +198,9 @@ type Log struct {
 	incarnation uint64
 
 	// Encode scratch, reused under mu so appends don't allocate messages.
-	custodyMsg wire.WalCustody
-	clearMsg   wire.WalClear
-	deliverMsg wire.WalDeliver
+	custodyMsg   wire.WalCustody
+	clearMsg     wire.WalClear
+	deliveredMsg wire.WalDeliver
 
 	kick chan struct{}
 	done chan struct{}
@@ -235,13 +236,14 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	var rr records
 	maxInc := uint64(0)
 	for _, seq := range seqs {
 		data, err := os.ReadFile(segPath(cfg.Dir, seq))
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: %w", err)
 		}
-		inc := l.applySegment(data)
+		inc := l.applySegment(&rr, data)
 		if inc > maxInc {
 			maxInc = inc
 		}
@@ -254,15 +256,10 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 	rec := &Recovered{Incarnation: l.incarnation}
 	for _, pid := range sortedKeys(l.live) {
 		for _, e := range l.live[pid] {
-			f := Flight{Rec: decodeCustody(e.rec)}
-			f.Rec.Dests = append([]int32(nil), e.outstanding...)
-			rec.Flights = append(rec.Flights, f)
+			rec.Flights = append(rec.Flights, e.flight(&rr))
 		}
 	}
-	for pid := range l.delivered.set {
-		rec.Delivered = append(rec.Delivered, pid)
-	}
-	sort.Slice(rec.Delivered, func(i, j int) bool { return rec.Delivered[i] < rec.Delivered[j] })
+	rec.Delivered = sortedKeys(l.delivered.set)
 
 	// Write the compacted state as a fresh segment, then drop the old ones:
 	// recovery work is never repeated, and the bumped incarnation is durable
@@ -288,43 +285,59 @@ func listSegments(dir string) ([]uint64, error) {
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	return seqs, nil
 }
 
-// sortedKeys returns the live map's packet IDs ascending, so recovery output
+// sortedKeys returns a packet-ID map's keys ascending, so recovery output
 // and checkpoints are deterministic.
-func sortedKeys(m map[uint64][]*entry) []uint64 {
+func sortedKeys[V any](m map[uint64]V) []uint64 {
 	keys := make([]uint64, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 
-// decodeCustody decodes a stored custody record (CRC + frame). The record
-// was either CRC-verified at recovery or encoded by this process, so decode
-// errors are impossible; a zero Data is returned defensively anyway.
-func decodeCustody(rec []byte) wire.Data {
-	msg, err := wire.Read(bytes.NewReader(rec[4:]))
-	if err != nil {
-		return wire.Data{}
+// records decodes CRC-checked records through one pooled wire.Reader, over a
+// bytes.Reader reset per record. What it returns is valid only until the
+// next record, so anything kept longer is copied.
+type records struct {
+	src bytes.Reader
+	rd  *wire.Reader
+}
+
+func (r *records) decode(frame []byte) (wire.Message, error) {
+	if r.rd == nil {
+		r.rd = wire.NewReader(&r.src)
 	}
-	wc, ok := msg.(*wire.WalCustody)
-	if !ok {
-		return wire.Data{}
+	r.src.Reset(frame)
+	return r.rd.Next()
+}
+
+// flight rebuilds an entry's custody record for replay, with only the
+// still-outstanding destinations and every slice copied out of the reader.
+// The record was either CRC-verified at recovery or encoded by this process,
+// so decode errors are impossible; a zero Data is returned defensively anyway.
+func (e *entry) flight(rr *records) Flight {
+	var d wire.Data
+	msg, _ := rr.decode(e.rec[4:]) // nil on error
+	if wc, ok := msg.(*wire.WalCustody); ok {
+		d = wc.Data
+		d.Path, d.Payload = slices.Clone(d.Path), slices.Clone(d.Payload)
 	}
-	return wc.Data
+	d.Dests = slices.Clone(e.outstanding)
+	return Flight{Rec: d}
 }
 
 // applySegment replays one segment's records into the live state, stopping
 // at the first torn or corrupt record (torn-tail tolerance). It returns the
 // highest incarnation seen.
-func (l *Log) applySegment(data []byte) (maxInc uint64) {
+func (l *Log) applySegment(rr *records, data []byte) (maxInc uint64) {
 	off := 0
 	for {
-		rec, n, ok := nextRecord(data[off:])
+		rec, n, ok := nextRecord(rr, data[off:])
 		if !ok {
 			if off != len(data) {
 				l.logf("segment scan stopped at offset %d of %d (torn or corrupt tail)", off, len(data))
@@ -354,9 +367,9 @@ func (l *Log) applySegment(data []byte) (maxInc uint64) {
 }
 
 // nextRecord parses one record (CRC + frame) from buf, returning the decoded
-// message and the record's total length. ok is false for a torn, truncated
-// or corrupt record.
-func nextRecord(buf []byte) (msg wire.Message, n int, ok bool) {
+// message (rr's until the next record) and the record's total length. ok is
+// false for a torn, truncated or corrupt record.
+func nextRecord(rr *records, buf []byte) (msg wire.Message, n int, ok bool) {
 	if len(buf) < 8 {
 		return nil, 0, false
 	}
@@ -369,7 +382,7 @@ func nextRecord(buf []byte) (msg wire.Message, n int, ok bool) {
 	if crc32.Checksum(frame, castagnoli) != want {
 		return nil, 0, false
 	}
-	m, err := wire.Read(bytes.NewReader(frame))
+	m, err := rr.decode(frame)
 	if err != nil {
 		return nil, 0, false
 	}
@@ -378,7 +391,8 @@ func nextRecord(buf []byte) (msg wire.Message, n int, ok bool) {
 
 // applyCustody inserts one custody record into the live state, suppressing
 // duplicates (retransmissions logged twice, or a checkpoint raced by a
-// crash leaving both the snapshot and the original segment on disk).
+// crash leaving both the snapshot and the original segment on disk). m is
+// the recovery reader's, so the entry copies what it keeps.
 func (l *Log) applyCustody(m *wire.WalCustody, recBytes []byte) {
 	if m.FrameID != 0 {
 		if l.frames.seen(m.FrameID) {
@@ -526,8 +540,8 @@ func (l *Log) AppendDeliver(pid uint64) {
 		l.mu.Unlock()
 		return
 	}
-	l.deliverMsg.PacketID = pid
-	l.appendRecordLocked(&l.deliverMsg)
+	l.deliveredMsg.PacketID = pid
+	l.appendRecordLocked(&l.deliveredMsg)
 	l.applyDeliver(pid)
 	l.kickLocked()
 	l.mu.Unlock()
@@ -536,15 +550,19 @@ func (l *Log) AppendDeliver(pid uint64) {
 // unusableLocked reports whether the log can no longer accept appends.
 func (l *Log) unusableLocked() bool { return l.closed || l.broken }
 
-// appendRecordLocked encodes one record (CRC placeholder + wire frame) into
-// the pending buffer and counts it.
+// appendRecordLocked encodes one record into the pending buffer and counts
+// it.
 func (l *Log) appendRecordLocked(msg wire.Message) {
-	base := len(l.pending)
-	l.pending = append(l.pending, 0, 0, 0, 0)
-	l.pending = wire.AppendFrame(l.pending, msg)
-	crc := crc32.Checksum(l.pending[base+4:], castagnoli)
-	binary.BigEndian.PutUint32(l.pending[base:], crc)
+	l.pending = appendRecord(l.pending, msg)
 	l.appends.Add(1)
+}
+
+// appendRecord appends one record (CRC + wire frame) to buf.
+func appendRecord(buf []byte, msg wire.Message) []byte {
+	base := len(buf)
+	buf = wire.AppendFrame(append(buf, 0, 0, 0, 0), msg)
+	binary.BigEndian.PutUint32(buf[base:], crc32.Checksum(buf[base+4:], castagnoli))
+	return buf
 }
 
 // kickLocked nudges the committer (buffered; coalesces).
@@ -653,35 +671,17 @@ func (l *Log) failLocked(err error) {
 // superseded segments (oldSeqs at Open; every seq below the new one at
 // runtime rotation).
 func (l *Log) checkpointLocked(oldSeqs []uint64) error {
-	var buf []byte
-	meta := wire.WalMeta{Incarnation: l.incarnation}
-	base := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf = wire.AppendFrame(buf, &meta)
-	binary.BigEndian.PutUint32(buf[base:], crc32.Checksum(buf[base+4:], castagnoli))
+	buf := appendRecord(nil, &wire.WalMeta{Incarnation: l.incarnation})
 	for _, pid := range sortedKeys(l.live) {
 		for _, e := range l.live[pid] {
 			buf = append(buf, e.rec...)
 			if len(e.cleared) > 0 {
-				cl := wire.WalClear{PacketID: pid, Dests: e.cleared}
-				base := len(buf)
-				buf = append(buf, 0, 0, 0, 0)
-				buf = wire.AppendFrame(buf, &cl)
-				binary.BigEndian.PutUint32(buf[base:], crc32.Checksum(buf[base+4:], castagnoli))
+				buf = appendRecord(buf, &wire.WalClear{PacketID: pid, Dests: e.cleared})
 			}
 		}
 	}
-	delivered := make([]uint64, 0, len(l.delivered.set))
-	for pid := range l.delivered.set {
-		delivered = append(delivered, pid)
-	}
-	sort.Slice(delivered, func(i, j int) bool { return delivered[i] < delivered[j] })
-	for _, pid := range delivered {
-		dl := wire.WalDeliver{PacketID: pid}
-		base := len(buf)
-		buf = append(buf, 0, 0, 0, 0)
-		buf = wire.AppendFrame(buf, &dl)
-		binary.BigEndian.PutUint32(buf[base:], crc32.Checksum(buf[base+4:], castagnoli))
+	for _, pid := range sortedKeys(l.delivered.set) {
+		buf = appendRecord(buf, &wire.WalDeliver{PacketID: pid})
 	}
 
 	newSeq := l.seq + 1

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"io"
 	"testing"
 	"time"
 )
@@ -35,19 +34,6 @@ func BenchmarkWireEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkWireWrite measures the compatibility Write path (pooled buffer,
-// one Write call per frame).
-func BenchmarkWireWrite(b *testing.B) {
-	msg := benchData()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Write(io.Discard, msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // loopFrames replays a pre-encoded frame stream forever, so decode
 // benchmarks never run out of input.
 type loopFrames struct {
@@ -77,20 +63,6 @@ func BenchmarkWireDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rd.Next(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireRead measures the compatibility Read path (fresh message per
-// frame).
-func BenchmarkWireRead(b *testing.B) {
-	frame := AppendFrame(nil, benchData())
-	src := &loopFrames{frames: frame}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Read(src); err != nil {
 			b.Fatal(err)
 		}
 	}

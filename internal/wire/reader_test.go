@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -22,14 +23,8 @@ func allTypesCorpus() []Message {
 			Payload: []byte("position report"),
 		},
 		&Data{FrameID: 1, PacketID: 2, PublishedAt: time.Unix(0, 0)},
-		&Ack{FrameID: 12345678901234},
-		&Ping{Token: 555},
-		&Pong{Token: 556},
-		&Subscribe{Topic: 4, Deadline: 200 * time.Millisecond},
-		&Unsubscribe{Topic: 9},
 		&Publish{Topic: 4, Deadline: time.Second, Payload: []byte{0, 1, 2, 255}},
 		&Publish{},
-		&Deliver{Topic: 4, PacketID: 77, Source: 2, PublishedAt: at, Payload: []byte("x")},
 		&StatsRequest{Token: 31337},
 		&StatsReply{
 			Token: 31337, BrokerID: 2,
@@ -44,7 +39,7 @@ func allTypesCorpus() []Message {
 				{Depth: 2, Enqueued: 64, Processed: 62, Inflight: 5},
 			},
 			Sessions: 8, Subscriptions: 1000,
-			AckBatches: 5, AckFramesCoalesced: 320, RelayBytesSaved: 4096,
+			AckBatches: 5, AckFramesCoalesced: 320,
 		},
 		&StatsReply{Token: 1},
 		&SessionHello{Subscribers: 1000},
@@ -84,26 +79,10 @@ func allTypesCorpus() []Message {
 	}
 }
 
-// TestAppendFrameMatchesWrite pins the append encoder to the wire format
-// Write emits: byte-identical frames for every message type.
-func TestAppendFrameMatchesWrite(t *testing.T) {
-	for _, msg := range allTypesCorpus() {
-		var buf bytes.Buffer
-		if err := Write(&buf, msg); err != nil {
-			t.Fatalf("Write(%v): %v", msg.Type(), err)
-		}
-		frame := AppendFrame(nil, msg)
-		if !bytes.Equal(buf.Bytes(), frame) {
-			t.Errorf("%v: AppendFrame differs from Write:\n  write  %x\n  append %x",
-				msg.Type(), buf.Bytes(), frame)
-		}
-	}
-}
-
 // TestAppendFrameAppends verifies AppendFrame extends dst in place so
 // multiple frames coalesce into one valid stream.
 func TestAppendFrameAppends(t *testing.T) {
-	msgs := []Message{&Ping{Token: 1}, &Ack{FrameID: 2}, &Hello{BrokerID: 3, Name: "x"}}
+	msgs := []Message{&Probe{Token: 1}, &AckBatch{FrameIDs: []uint64{2}}, &Hello{BrokerID: 3, Name: "x"}}
 	var stream []byte
 	for _, m := range msgs {
 		stream = AppendFrame(stream, m)
@@ -215,8 +194,8 @@ func TestReaderZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestReaderRejectsMalformed mirrors the Read error tests on the pooled
-// path.
+// TestReaderRejectsMalformed is the table form of the TestReadRejects*
+// cases.
 func TestReaderRejectsMalformed(t *testing.T) {
 	cases := map[string]struct {
 		raw  []byte
@@ -235,7 +214,7 @@ func TestReaderRejectsMalformed(t *testing.T) {
 		})
 	}
 	t.Run("trailing bytes", func(t *testing.T) {
-		raw := AppendFrame(nil, &Ack{FrameID: 9})
+		raw := AppendFrame(nil, &Probe{Token: 9})
 		raw = append(raw, 0xAA)
 		raw[3]++
 		rd := NewReader(bytes.NewReader(raw))
@@ -258,35 +237,38 @@ func TestReaderRejectsMalformed(t *testing.T) {
 }
 
 // TestReadThenReaderOnSameStream models the broker handshake: the Hello is
-// read with the convenience Read, then the connection's remaining frames go
-// through a pooled Reader. Nothing may be lost at the switch.
+// read through the Reader that then serves the connection's remaining
+// frames, so whatever the peer sent right behind its Hello (already in the
+// Reader's buffer) is not lost at the switch to the read loop.
 func TestReadThenReaderOnSameStream(t *testing.T) {
 	var stream []byte
 	stream = AppendFrame(stream, &Hello{BrokerID: 4, Name: "b"})
-	stream = AppendFrame(stream, &Ping{Token: 77})
-	src := bytes.NewReader(stream)
-	first, err := Read(src)
+	stream = AppendFrame(stream, &Probe{Token: 77})
+	rd := NewReader(bufio.NewReader(bytes.NewReader(stream)))
+	first, err := rd.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h, ok := first.(*Hello); !ok || h.BrokerID != 4 {
 		t.Fatalf("first frame = %#v", first)
 	}
-	rd := NewReader(src)
 	second, err := rd.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := second.(*Ping); !ok || p.Token != 77 {
+	if p, ok := second.(*Probe); !ok || p.Token != 77 {
 		t.Fatalf("second frame = %#v", second)
 	}
 }
 
-// TestWriteRejectsOversizedFrame keeps the compatibility wrapper's frame
-// bound intact on the new encode path.
+// TestWriteRejectsOversizedFrame pins the bound every writer checks before
+// it puts an encoded frame on a connection.
 func TestWriteRejectsOversizedFrame(t *testing.T) {
-	msg := &Publish{Payload: make([]byte, MaxFrameSize+1)}
-	if err := Write(io.Discard, msg); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("err = %v, want ErrFrameTooLarge", err)
+	buf := AppendFrame([]byte("prefix"), &Publish{Payload: make([]byte, MaxFrameSize+1)})
+	if FrameFits(buf, len("prefix")) {
+		t.Error("FrameFits accepted a frame over MaxFrameSize")
+	}
+	if buf = AppendFrame(buf[:0], &Publish{Payload: make([]byte, 64)}); !FrameFits(buf, 0) {
+		t.Error("FrameFits refused a small frame")
 	}
 }

@@ -11,8 +11,7 @@ import (
 )
 
 // TestAckBatchRoundTripExtremes pins the wrapping-delta encoding: unsorted,
-// duplicated and boundary frame IDs all survive a round trip through both
-// decode paths.
+// duplicated and boundary frame IDs all survive a round trip.
 func TestAckBatchRoundTripExtremes(t *testing.T) {
 	cases := [][]uint64{
 		{0},
@@ -24,20 +23,12 @@ func TestAckBatchRoundTripExtremes(t *testing.T) {
 	}
 	for _, ids := range cases {
 		msg := &AckBatch{FrameIDs: ids}
-		frame := AppendFrame(nil, msg)
-		got, err := Read(bytes.NewReader(frame))
+		got, err := next(AppendFrame(nil, msg))
 		if err != nil {
-			t.Fatalf("Read(%v): %v", ids, err)
+			t.Fatalf("decode %v: %v", ids, err)
 		}
 		if !reflect.DeepEqual(msg, got) {
 			t.Errorf("round trip changed %v into %#v", ids, got)
-		}
-		pooled, err := NewReader(bytes.NewReader(frame)).Next()
-		if err != nil {
-			t.Fatalf("Reader(%v): %v", ids, err)
-		}
-		if pb := pooled.(*AckBatch); !reflect.DeepEqual(msg.FrameIDs, pb.FrameIDs) {
-			t.Errorf("pooled round trip changed %v into %v", ids, pb.FrameIDs)
 		}
 	}
 }
@@ -69,38 +60,36 @@ func TestBatchDecodeRejectsHostile(t *testing.T) {
 	}
 	for name, raw := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := Read(bytes.NewReader(raw)); err == nil {
-				t.Error("Read accepted hostile frame")
-			}
-			if _, err := NewReader(bytes.NewReader(raw)).Next(); err == nil {
+			if _, err := next(raw); err == nil {
 				t.Error("Reader accepted hostile frame")
 			}
 		})
 	}
 	// A well-formed count with a missing tail must surface as truncation.
-	if _, err := Read(bytes.NewReader(frame(byte(TypeAckBatch), 2, 2))); !errors.Is(err, ErrTruncated) {
+	if _, err := next(frame(byte(TypeAckBatch), 2, 2)); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short ack batch: err = %v, want ErrTruncated", err)
 	}
 }
 
-// TestBatchFramesAreSmaller pins the point of the exercise: batches of
-// same-flow traffic cost a small fraction of the equivalent legacy frames.
+// TestBatchFramesAreSmaller pins the point of batching: same-flow traffic in
+// one batch costs a small fraction of the same entries sent as batches of one
+// (what an idle link's flushes carry) or as standalone Data frames.
 func TestBatchFramesAreSmaller(t *testing.T) {
 	const n = 64
 	ab := &AckBatch{}
-	legacyAcks := 0
+	single := 0
 	for i := uint64(0); i < n; i++ {
 		id := uint64(3)<<48 | i // one broker's consecutive frame IDs
 		ab.FrameIDs = append(ab.FrameIDs, id)
-		legacyAcks += len(AppendFrame(nil, &Ack{FrameID: id}))
+		single += len(AppendFrame(nil, &AckBatch{FrameIDs: []uint64{id}}))
 	}
 	batched := len(AppendFrame(nil, ab))
-	if batched*4 > legacyAcks {
-		t.Errorf("AckBatch of %d = %dB, want <1/4 of %dB legacy", n, batched, legacyAcks)
+	if batched*4 > single {
+		t.Errorf("AckBatch of %d = %dB, want <1/4 of %dB as batches of one", n, batched, single)
 	}
 
 	db := &DataBatch{}
-	legacyData := 0
+	standalone := 0
 	at := time.Unix(0, 1720000000123456789)
 	for i := 0; i < 16; i++ {
 		d := Data{
@@ -111,32 +100,41 @@ func TestBatchFramesAreSmaller(t *testing.T) {
 			Payload: bytes.Repeat([]byte("x"), 32),
 		}
 		db.Frames = append(db.Frames, d)
-		legacyData += len(AppendFrame(nil, &d))
+		standalone += len(AppendFrame(nil, &d))
 	}
-	if batched := len(AppendFrame(nil, db)); batched*2 > legacyData {
-		t.Errorf("DataBatch of 16 = %dB, want <1/2 of %dB legacy", batched, legacyData)
+	if batched := len(AppendFrame(nil, db)); batched*2 > standalone {
+		t.Errorf("DataBatch of 16 = %dB, want <1/2 of %dB as standalone Data frames", batched, standalone)
 	}
 }
 
-// TestHelloCaps pins the capability-token contract that relay batching
-// negotiates through: tokens ride in Hello.Name, legacy names carry none,
-// and lookups never match substrings.
-func TestHelloCaps(t *testing.T) {
-	if got := AddCap("", CapRelayBatch); got != CapRelayBatch {
-		t.Errorf("AddCap on empty name = %q", got)
+// TestHelloVersion pins the handshake contract: the codec writes
+// ProtocolVersion right after BrokerID (which stays at body offset 0, where
+// frame classifiers read it), the caller never sets it, and the decoder
+// refuses any other version and a Hello cut inside the version field.
+func TestHelloVersion(t *testing.T) {
+	frame := AppendFrame(nil, &Hello{BrokerID: 3, Name: "broker-3"})
+	if id := int32(binary.BigEndian.Uint32(frame[5:])); id != 3 {
+		t.Errorf("BrokerID at body offset 0 = %d, want 3", id)
 	}
-	name := AddCap("broker-3", CapRelayBatch)
-	if !HasCap(name, CapRelayBatch) {
-		t.Errorf("HasCap(%q) = false after AddCap", name)
+	if v := binary.BigEndian.Uint16(frame[9:]); v != ProtocolVersion {
+		t.Errorf("version on the wire = %d, want %d", v, ProtocolVersion)
 	}
-	for _, legacy := range []string{"", "broker-3", "cap:relay-batch-v9", "xcap:relay-batch"} {
-		if HasCap(legacy, CapRelayBatch) {
-			t.Errorf("HasCap(%q) = true, want false", legacy)
-		}
+	got, err := next(frame)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The token must survive a Hello round trip untouched.
-	got := roundTrip(t, &Hello{BrokerID: 3, Name: name}).(*Hello)
-	if !HasCap(got.Name, CapRelayBatch) {
-		t.Errorf("capability lost in round trip: %q", got.Name)
+	if h := got.(*Hello); h.BrokerID != 3 || h.Name != "broker-3" {
+		t.Errorf("round trip = %+v", h)
+	}
+
+	other := append([]byte(nil), frame...)
+	binary.BigEndian.PutUint16(other[9:], ProtocolVersion+1)
+	if _, err := next(other); !errors.Is(err, ErrVersion) {
+		t.Errorf("Hello of version %d: err = %v, want ErrVersion", ProtocolVersion+1, err)
+	}
+	cut := append([]byte(nil), frame[:10]...) // one byte of the version
+	binary.BigEndian.PutUint32(cut, uint32(len(cut)-4))
+	if _, err := next(cut); !errors.Is(err, ErrTruncated) {
+		t.Errorf("Hello cut inside the version: err = %v, want ErrTruncated", err)
 	}
 }

@@ -16,12 +16,15 @@
 // varints (count, then IDs), because that list is the dominant per-delivery
 // wire cost at high fan-in and the IDs are small by construction.
 //
-// The codec offers two tiers. Write and Read are the convenience API: one
-// frame per call, freshly allocated messages, safe to retain. The zero-
-// allocation tier underneath is what the broker data plane uses: AppendFrame
-// encodes into a caller-supplied byte slice (grow-once, reuse forever), and
-// Reader decodes a frame stream into per-reader message structs whose
-// buffers are recycled across frames.
+// There is one encoder and one decoder, and neither allocates once warm:
+// AppendFrame encodes into a caller-supplied byte slice (grow-once, reuse
+// forever), and Reader decodes a frame stream into per-reader message structs
+// whose buffers are recycled across frames. Whatever outlives the next frame
+// is the caller's to copy.
+//
+// Every connection opens with a Hello carrying ProtocolVersion; a decoder
+// refuses any other version, so two builds that frame differently never get
+// past the handshake.
 package wire
 
 import (
@@ -30,10 +33,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
-	"sync"
 	"time"
 )
+
+// ProtocolVersion is the wire dialect this build speaks. Hello's codec writes
+// it and its decoder refuses any other value.
+const ProtocolVersion uint16 = 1
 
 // Type tags every message on the wire.
 type Type uint8
@@ -42,47 +47,44 @@ type Type uint8
 const (
 	// TypeHello introduces a broker (or client) after dialing.
 	TypeHello Type = iota + 1
-	// TypeData carries one routed packet copy between brokers.
+	// TypeData is one routed packet copy as a standalone frame. Links carry
+	// packets only inside TypeDataBatch; the standalone form is the body of a
+	// WAL custody record.
 	TypeData
-	// TypeAck acknowledges a TypeData frame hop-by-hop.
-	TypeAck
-	// Tag 4 carried the retired distance-vector ADVERT. It stays unused so
-	// every later tag, including the WAL record types on disk, keeps its
-	// byte value.
+	// Retired tags stay unused so every later tag, including the WAL record
+	// types on disk, keeps its byte value: 3 was the one-frame ACK, 4 the
+	// distance-vector ADVERT, 5 and 6 a client's PING/PONG, 7 and 8 the
+	// single-subscriber SUBSCRIBE/UNSUBSCRIBE.
 	_
-	// TypePing and TypePong let a client time its round trip to a broker.
-	TypePing
-	TypePong
-	// TypeSubscribe registers a client's topic subscription at its broker.
-	TypeSubscribe
-	// TypeUnsubscribe removes a client's topic subscription.
-	TypeUnsubscribe
+	_
+	_
+	_
+	_
+	_
 	// TypePublish submits a client's message to its broker.
 	TypePublish
-	// TypeDeliver hands a message to a subscribed client.
-	TypeDeliver
+	// Tag 10 was the single-subscriber DELIVER.
+	_
 	// TypeStatsRequest asks a broker for its operational state.
 	TypeStatsRequest
 	// TypeStatsReply answers a TypeStatsRequest.
 	TypeStatsReply
-	// TypeSessionHello upgrades a client connection to a multiplexed
-	// session carrying many logical subscribers.
+	// TypeSessionHello announces how many logical subscribers a session
+	// expects to register.
 	TypeSessionHello
 	// TypeSessionSub subscribes one session-local subscriber ID to a topic.
 	TypeSessionSub
 	// TypeSessionUnsub removes one session-local subscriber's subscription.
 	TypeSessionUnsub
-	// TypeMuxDeliver hands one payload to many logical subscribers of a
-	// session at once (one frame per (topic, session) instead of one per
-	// subscriber).
+	// TypeMuxDeliver hands one payload to every logical subscriber of a
+	// session on a topic at once (one frame per (topic, session) instead of
+	// one per subscriber).
 	TypeMuxDeliver
-	// TypeAckBatch acknowledges many TypeData frames in one wire frame
-	// (relay-plane ACK coalescing). Only sent to peers that advertised
-	// CapRelayBatch in their Hello.
+	// TypeAckBatch acknowledges relayed packets hop-by-hop, one or many
+	// frame IDs per wire frame.
 	TypeAckBatch
-	// TypeDataBatch packs several same-neighbor TypeData frames into one
-	// wire frame with delta-compressed headers and node lists. Only sent to
-	// peers that advertised CapRelayBatch in their Hello.
+	// TypeDataBatch carries routed packet copies between brokers, one or
+	// many per wire frame, with delta-compressed headers and node lists.
 	TypeDataBatch
 	// TypeLinkState floods one broker's measured per-link <alpha, gamma>
 	// estimates and its topic membership through the overlay (the live
@@ -117,20 +119,8 @@ func (t Type) String() string {
 		return "HELLO"
 	case TypeData:
 		return "DATA"
-	case TypeAck:
-		return "ACK"
-	case TypePing:
-		return "PING"
-	case TypePong:
-		return "PONG"
-	case TypeSubscribe:
-		return "SUBSCRIBE"
-	case TypeUnsubscribe:
-		return "UNSUBSCRIBE"
 	case TypePublish:
 		return "PUBLISH"
-	case TypeDeliver:
-		return "DELIVER"
 	case TypeStatsRequest:
 		return "STATS_REQUEST"
 	case TypeStatsReply:
@@ -173,6 +163,7 @@ var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrameSize")
 	ErrUnknownType   = errors.New("wire: unknown message type")
 	ErrTruncated     = errors.New("wire: truncated message")
+	ErrVersion       = errors.New("wire: protocol version mismatch")
 )
 
 // Message is implemented by every wire message.
@@ -183,39 +174,13 @@ type Message interface {
 	decode(*reader) error
 }
 
-// Hello introduces the dialing peer.
+// Hello introduces the dialing peer. Its body is BrokerID, then the uint16
+// ProtocolVersion (written by the codec, never by the caller), then Name.
 type Hello struct {
 	// BrokerID is the sender's broker ID, or -1 for clients.
 	BrokerID int32
 	// Name is a free-form peer name (client identifier, broker label).
-	// Brokers additionally carry space-separated capability tokens here
-	// (see CapRelayBatch): the field predates capabilities, so reusing it
-	// keeps the Hello wire format byte-identical for legacy peers.
 	Name string
-}
-
-// CapRelayBatch is the Hello.Name capability token advertising that the
-// sender understands AckBatch and DataBatch frames. A broker never emits
-// either frame type to a peer that did not advertise the token — an
-// unknown frame type errors a legacy reader and drops the connection.
-const CapRelayBatch = "cap:relay-batch"
-
-// AddCap appends a capability token to a Hello name.
-func AddCap(name, token string) string {
-	if name == "" {
-		return token
-	}
-	return name + " " + token
-}
-
-// HasCap reports whether a Hello name carries a capability token.
-func HasCap(name, token string) bool {
-	for _, f := range strings.Fields(name) {
-		if f == token {
-			return true
-		}
-	}
-	return false
 }
 
 // Data carries one routed copy of a published packet.
@@ -231,21 +196,16 @@ type Data struct {
 	Payload     []byte
 }
 
-// Ack acknowledges a Data frame hop-by-hop.
-type Ack struct {
-	FrameID uint64
-}
-
-// AckBatch acknowledges many Data frames in one wire frame. Frame IDs are
+// AckBatch acknowledges relayed packets hop-by-hop by frame ID. Frame IDs are
 // encoded as a uvarint count followed by zigzag-varint deltas between
 // consecutive IDs (the first delta is from zero); senders sort the IDs
 // ascending, and consecutive frame IDs from one shard differ by one, so a
-// typical entry costs 1–2 bytes against Ack's fixed 13-byte frame.
+// typical entry costs 1–2 bytes.
 type AckBatch struct {
 	FrameIDs []uint64
 }
 
-// DataBatch packs several Data frames bound for the same neighbor into one
+// DataBatch carries the Data frames bound for one neighbor, one or many per
 // wire frame. Every header field is a varint delta against the previous
 // entry (the first entry deltas from zero), and the Dests/Path node lists
 // are uvarint counts with intra-list zigzag deltas — consecutive frames of
@@ -257,7 +217,7 @@ type DataBatch struct {
 
 // LinkRecord is one directed overlay link's monitored estimate inside a
 // LinkState flood: the origin broker's single-transmission expected delay
-// (alpha, from ping RTTs and ACK timing) and delivery ratio (gamma, from
+// (alpha, from probe echoes and ACK timing) and delivery ratio (gamma, from
 // hop-by-hop ACK outcomes and probes) toward neighbor To. A Gamma of 0
 // withdraws the link (down or partitioned).
 type LinkRecord struct {
@@ -299,28 +259,6 @@ type Probe struct {
 	Reply bool
 }
 
-// Ping/Pong measure link RTT. Token echoes back verbatim.
-type Ping struct {
-	Token uint64
-}
-
-// Pong answers a Ping.
-type Pong struct {
-	Token uint64
-}
-
-// Subscribe registers a client subscription.
-type Subscribe struct {
-	Topic int32
-	// Deadline is the client's QoS delay requirement for this topic.
-	Deadline time.Duration
-}
-
-// Unsubscribe removes a client's subscription to a topic.
-type Unsubscribe struct {
-	Topic int32
-}
-
 // Publish submits a message from a client.
 type Publish struct {
 	Topic    int32
@@ -328,19 +266,10 @@ type Publish struct {
 	Payload  []byte
 }
 
-// Deliver hands a routed message to a subscribed client.
-type Deliver struct {
-	Topic       int32
-	PacketID    uint64
-	Source      int32
-	PublishedAt time.Time
-	Payload     []byte
-}
-
-// SessionHello upgrades the client connection it arrives on to a
-// multiplexed session: many logical subscribers share the connection, its
-// writer pipeline and (via MuxDeliver) each delivered payload. Sent once,
-// after the Hello handshake.
+// SessionHello announces a multiplexed session: many logical subscribers
+// share the connection, its writer pipeline and (via MuxDeliver) each
+// delivered payload. Optional, sent once after the Hello; a connection
+// becomes a session on its first SessionSub either way.
 type SessionHello struct {
 	// Subscribers hints how many logical subscribers the session expects to
 	// register (0 = unknown); brokers may pre-size per-session state.
@@ -505,16 +434,14 @@ type StatsReply struct {
 	QueueDrops uint64 // messages shed by full per-connection send queues
 	Redials    uint64 // failed outbound dial attempts
 	Reconnects uint64 // neighbor links re-established after a drop
-	// Edge gauges: live multiplexed sessions and total logical
-	// subscriptions (legacy connection-topic pairs plus session
-	// (subscriber, topic) pairs).
+	// Edge gauges: live sessions (connections holding a subscription) and
+	// total logical (subscriber ID, topic) subscriptions.
 	Sessions      uint64
 	Subscriptions uint64
-	// Relay-aggregation counters: AckBatch frames sent, legacy Acks they
-	// replaced, and encoded bytes saved versus the legacy relay framing.
+	// Relay ACK coalescing: AckBatch frames sent and the frame IDs they
+	// acknowledged.
 	AckBatches         uint64
 	AckFramesCoalesced uint64
-	RelayBytesSaved    uint64
 	Neighbors          []NeighborStat
 	Routes             []RouteStat
 	Shards             []ShardStat
@@ -531,13 +458,7 @@ type StatsReply struct {
 var (
 	_ Message = (*Hello)(nil)
 	_ Message = (*Data)(nil)
-	_ Message = (*Ack)(nil)
-	_ Message = (*Ping)(nil)
-	_ Message = (*Pong)(nil)
-	_ Message = (*Subscribe)(nil)
-	_ Message = (*Unsubscribe)(nil)
 	_ Message = (*Publish)(nil)
-	_ Message = (*Deliver)(nil)
 	_ Message = (*StatsRequest)(nil)
 	_ Message = (*StatsReply)(nil)
 	_ Message = (*SessionHello)(nil)
@@ -557,13 +478,7 @@ var (
 // Type implementations.
 func (*Hello) Type() Type        { return TypeHello }
 func (*Data) Type() Type         { return TypeData }
-func (*Ack) Type() Type          { return TypeAck }
-func (*Ping) Type() Type         { return TypePing }
-func (*Pong) Type() Type         { return TypePong }
-func (*Subscribe) Type() Type    { return TypeSubscribe }
-func (*Unsubscribe) Type() Type  { return TypeUnsubscribe }
 func (*Publish) Type() Type      { return TypePublish }
-func (*Deliver) Type() Type      { return TypeDeliver }
 func (*StatsRequest) Type() Type { return TypeStatsRequest }
 func (*StatsReply) Type() Type   { return TypeStatsReply }
 func (*SessionHello) Type() Type { return TypeSessionHello }
@@ -602,68 +517,6 @@ func FrameFits(buf []byte, base int) bool {
 	return len(buf)-base-4 <= MaxFrameSize
 }
 
-// frameBufPool recycles encode buffers for the Write convenience path.
-var frameBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 4096); return &b },
-}
-
-// pooledBufMaxCap bounds the capacity of buffers returned to the pool so a
-// single giant frame does not pin megabytes forever.
-const pooledBufMaxCap = 1 << 20
-
-// Write encodes msg and writes one frame to w with a single Write call,
-// using a pooled buffer.
-func Write(w io.Writer, msg Message) error {
-	bp := frameBufPool.Get().(*[]byte)
-	buf := AppendFrame((*bp)[:0], msg)
-	*bp = buf[:0]
-	defer func() {
-		if cap(buf) <= pooledBufMaxCap {
-			frameBufPool.Put(bp)
-		}
-	}()
-	if !FrameFits(buf, 0) {
-		return ErrFrameTooLarge
-	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("wire: write frame: %w", err)
-	}
-	return nil
-}
-
-// Read reads one frame from r and decodes it into a freshly allocated
-// message that the caller may retain. Connection read loops that care about
-// allocation pressure should use a Reader instead.
-func Read(r io.Reader) (Message, error) {
-	var header [4]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return nil, err // io.EOF passes through for clean shutdown
-	}
-	size := binary.BigEndian.Uint32(header[:])
-	if size > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	if size == 0 {
-		return nil, ErrTruncated
-	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("wire: read body: %w", err)
-	}
-	msg, err := newMessage(Type(body[0]))
-	if err != nil {
-		return nil, err
-	}
-	rd := &reader{buf: body[1:]}
-	if err := msg.decode(rd); err != nil {
-		return nil, err
-	}
-	if len(rd.buf) != 0 {
-		return nil, fmt.Errorf("wire: %v has %d trailing bytes", msg.Type(), len(rd.buf))
-	}
-	return msg, nil
-}
-
 // Reader decodes a frame stream with buffer and message reuse: the body
 // buffer grows once to the stream's working set, and each message type has
 // one struct per Reader that is recycled across frames. After warm-up,
@@ -681,13 +534,7 @@ type Reader struct {
 
 	hello        Hello
 	data         Data
-	ack          Ack
-	ping         Ping
-	pong         Pong
-	subscribe    Subscribe
-	unsubscribe  Unsubscribe
 	publish      Publish
-	deliver      Deliver
 	statsRequest StatsRequest
 	statsReply   StatsReply
 	sessionHello SessionHello
@@ -752,20 +599,8 @@ func (rd *Reader) message(t Type) Message {
 		return &rd.hello
 	case TypeData:
 		return &rd.data
-	case TypeAck:
-		return &rd.ack
-	case TypePing:
-		return &rd.ping
-	case TypePong:
-		return &rd.pong
-	case TypeSubscribe:
-		return &rd.subscribe
-	case TypeUnsubscribe:
-		return &rd.unsubscribe
 	case TypePublish:
 		return &rd.publish
-	case TypeDeliver:
-		return &rd.deliver
 	case TypeStatsRequest:
 		return &rd.statsRequest
 	case TypeStatsReply:
@@ -796,60 +631,6 @@ func (rd *Reader) message(t Type) Message {
 		return &rd.walMeta
 	default:
 		return nil
-	}
-}
-
-// newMessage allocates the message struct for a wire tag.
-func newMessage(t Type) (Message, error) {
-	switch t {
-	case TypeHello:
-		return &Hello{}, nil
-	case TypeData:
-		return &Data{}, nil
-	case TypeAck:
-		return &Ack{}, nil
-	case TypePing:
-		return &Ping{}, nil
-	case TypePong:
-		return &Pong{}, nil
-	case TypeSubscribe:
-		return &Subscribe{}, nil
-	case TypeUnsubscribe:
-		return &Unsubscribe{}, nil
-	case TypePublish:
-		return &Publish{}, nil
-	case TypeDeliver:
-		return &Deliver{}, nil
-	case TypeStatsRequest:
-		return &StatsRequest{}, nil
-	case TypeStatsReply:
-		return &StatsReply{}, nil
-	case TypeSessionHello:
-		return &SessionHello{}, nil
-	case TypeSessionSub:
-		return &SessionSub{}, nil
-	case TypeSessionUnsub:
-		return &SessionUnsub{}, nil
-	case TypeMuxDeliver:
-		return &MuxDeliver{}, nil
-	case TypeAckBatch:
-		return &AckBatch{}, nil
-	case TypeDataBatch:
-		return &DataBatch{}, nil
-	case TypeLinkState:
-		return &LinkState{}, nil
-	case TypeProbe:
-		return &Probe{}, nil
-	case TypeWalCustody:
-		return &WalCustody{}, nil
-	case TypeWalClear:
-		return &WalClear{}, nil
-	case TypeWalDeliver:
-		return &WalDeliver{}, nil
-	case TypeWalMeta:
-		return &WalMeta{}, nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, uint8(t))
 	}
 }
 
@@ -1088,9 +869,8 @@ func (r *reader) subIDsInto(dst []uint32) ([]uint32, error) {
 
 // bytesInto decodes a length-prefixed blob into dst's storage (growing it
 // only when the capacity is too small) and returns the filled slice. A
-// zero-length blob yields dst truncated to zero — nil stays nil, so the
-// fresh-struct Read path keeps its historical "empty decodes to nil"
-// behavior.
+// zero-length blob yields dst truncated to zero — nil stays nil, so a
+// Reader's first decode of an empty blob yields nil.
 func (r *reader) bytesInto(dst []byte) ([]byte, error) {
 	n, err := r.u32()
 	if err != nil {
@@ -1136,12 +916,22 @@ func (r *reader) nodesInto(dst []int32) ([]int32, error) {
 
 func (m *Hello) appendBody(dst []byte) []byte {
 	dst = appendI32(dst, m.BrokerID)
+	dst = appendU16(dst, ProtocolVersion)
 	return appendString(dst, m.Name)
 }
 
+// decode refuses a Hello of any other protocol version before reading on: a
+// different version may lay the rest of the body out differently.
 func (m *Hello) decode(r *reader) (err error) {
 	if m.BrokerID, err = r.i32(); err != nil {
 		return err
+	}
+	v, err := r.u16()
+	if err != nil {
+		return err
+	}
+	if v != ProtocolVersion {
+		return fmt.Errorf("%w: peer speaks %d, this build %d", ErrVersion, v, ProtocolVersion)
 	}
 	m.Name, err = r.str()
 	return err
@@ -1223,51 +1013,6 @@ func (m *WalMeta) decode(r *reader) (err error) {
 	return err
 }
 
-func (m *Ack) appendBody(dst []byte) []byte { return appendU64(dst, m.FrameID) }
-
-func (m *Ack) decode(r *reader) (err error) {
-	m.FrameID, err = r.u64()
-	return err
-}
-
-func (m *Ping) appendBody(dst []byte) []byte { return appendU64(dst, m.Token) }
-
-func (m *Ping) decode(r *reader) (err error) {
-	m.Token, err = r.u64()
-	return err
-}
-
-func (m *Pong) appendBody(dst []byte) []byte { return appendU64(dst, m.Token) }
-
-func (m *Pong) decode(r *reader) (err error) {
-	m.Token, err = r.u64()
-	return err
-}
-
-func (m *Subscribe) appendBody(dst []byte) []byte {
-	dst = appendI32(dst, m.Topic)
-	return appendI64(dst, int64(m.Deadline))
-}
-
-func (m *Subscribe) decode(r *reader) (err error) {
-	if m.Topic, err = r.i32(); err != nil {
-		return err
-	}
-	d, err := r.i64()
-	if err != nil {
-		return err
-	}
-	m.Deadline = time.Duration(d)
-	return nil
-}
-
-func (m *Unsubscribe) appendBody(dst []byte) []byte { return appendI32(dst, m.Topic) }
-
-func (m *Unsubscribe) decode(r *reader) (err error) {
-	m.Topic, err = r.i32()
-	return err
-}
-
 func (m *Publish) appendBody(dst []byte) []byte {
 	dst = appendI32(dst, m.Topic)
 	dst = appendI64(dst, int64(m.Deadline))
@@ -1308,7 +1053,6 @@ func (m *StatsReply) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.Subscriptions)
 	dst = appendU64(dst, m.AckBatches)
 	dst = appendU64(dst, m.AckFramesCoalesced)
-	dst = appendU64(dst, m.RelayBytesSaved)
 	dst = appendU16(dst, uint16(len(m.Neighbors)))
 	for _, n := range m.Neighbors {
 		dst = appendI32(dst, n.ID)
@@ -1396,9 +1140,6 @@ func (m *StatsReply) decode(r *reader) (err error) {
 		return err
 	}
 	if m.AckFramesCoalesced, err = r.u64(); err != nil {
-		return err
-	}
-	if m.RelayBytesSaved, err = r.u64(); err != nil {
 		return err
 	}
 	m.Neighbors = m.Neighbors[:0]
@@ -1543,33 +1284,6 @@ func (m *StatsReply) decode(r *reader) (err error) {
 		return err
 	}
 	m.Wal.Checkpoints, err = r.u64()
-	return err
-}
-
-func (m *Deliver) appendBody(dst []byte) []byte {
-	dst = appendI32(dst, m.Topic)
-	dst = appendU64(dst, m.PacketID)
-	dst = appendI32(dst, m.Source)
-	dst = appendI64(dst, m.PublishedAt.UnixNano())
-	return appendBytes(dst, m.Payload)
-}
-
-func (m *Deliver) decode(r *reader) (err error) {
-	if m.Topic, err = r.i32(); err != nil {
-		return err
-	}
-	if m.PacketID, err = r.u64(); err != nil {
-		return err
-	}
-	if m.Source, err = r.i32(); err != nil {
-		return err
-	}
-	ns, err := r.i64()
-	if err != nil {
-		return err
-	}
-	m.PublishedAt = time.Unix(0, ns)
-	m.Payload, err = r.bytesInto(m.Payload)
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -12,16 +13,13 @@ import (
 	"time"
 )
 
-// roundTrip encodes and decodes a message, returning the decoded copy.
+// roundTrip encodes a message with AppendFrame and decodes it through a
+// fresh Reader, returning the decoded message (owned by that Reader).
 func roundTrip(t *testing.T, msg Message) Message {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := Write(&buf, msg); err != nil {
-		t.Fatalf("Write(%v): %v", msg.Type(), err)
-	}
-	got, err := Read(&buf)
+	got, err := NewReader(bytes.NewReader(AppendFrame(nil, msg))).Next()
 	if err != nil {
-		t.Fatalf("Read(%v): %v", msg.Type(), err)
+		t.Fatalf("decode %v: %v", msg.Type(), err)
 	}
 	return got
 }
@@ -43,21 +41,15 @@ func TestRoundTripAllTypes(t *testing.T) {
 			Payload:     []byte("position report"),
 		},
 		&Data{FrameID: 1, PacketID: 2, PublishedAt: time.Unix(0, 0)},
-		&Ack{FrameID: 12345678901234},
-		&Ping{Token: 555},
-		&Pong{Token: 555},
-		&Subscribe{Topic: 4, Deadline: 200 * time.Millisecond},
 		&Publish{Topic: 4, Deadline: time.Second, Payload: []byte{0, 1, 2, 255}},
 		&Publish{Topic: 0, Payload: nil},
-		&Deliver{Topic: 4, PacketID: 77, Source: 2, PublishedAt: at, Payload: []byte("x")},
-		&Unsubscribe{Topic: 9},
 		&StatsRequest{Token: 31337},
 		&StatsReply{
 			Token: 31337, BrokerID: 2,
 			Published: 10, Delivered: 20, Forwarded: 30, Dropped: 1,
 			QueueDrops: 6, Redials: 4, Reconnects: 2,
 			Sessions: 64, Subscriptions: 100000,
-			AckBatches: 12, AckFramesCoalesced: 700, RelayBytesSaved: 9000,
+			AckBatches: 12, AckFramesCoalesced: 700,
 			Neighbors: []NeighborStat{
 				{ID: 1, Connected: true, Alpha: 12 * time.Millisecond, Gamma: 0.97},
 				{ID: 5, Connected: false, Alpha: 30 * time.Millisecond, Gamma: 0.4},
@@ -154,19 +146,18 @@ func TestRoundTripAllTypes(t *testing.T) {
 }
 
 func TestMultipleFramesOnOneStream(t *testing.T) {
-	var buf bytes.Buffer
 	msgs := []Message{
-		&Ping{Token: 1},
-		&Ack{FrameID: 2},
+		&Probe{Token: 1},
+		&AckBatch{FrameIDs: []uint64{2}},
 		&Hello{BrokerID: 3, Name: "x"},
 	}
+	var stream []byte
 	for _, m := range msgs {
-		if err := Write(&buf, m); err != nil {
-			t.Fatal(err)
-		}
+		stream = AppendFrame(stream, m)
 	}
+	rd := NewReader(bytes.NewReader(stream))
 	for i, want := range msgs {
-		got, err := Read(&buf)
+		got, err := rd.Next()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -174,63 +165,58 @@ func TestMultipleFramesOnOneStream(t *testing.T) {
 			t.Errorf("frame %d mismatch: %#v vs %#v", i, want, got)
 		}
 	}
-	if _, err := Read(&buf); err != io.EOF {
+	if _, err := rd.Next(); err != io.EOF {
 		t.Errorf("after last frame err = %v, want io.EOF", err)
 	}
 }
 
+// next decodes the first frame of raw through a fresh Reader.
+func next(raw []byte) (Message, error) {
+	return NewReader(bytes.NewReader(raw)).Next()
+}
+
 func TestReadRejectsUnknownType(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 1, 200}) // length 1, type 200
-	if _, err := Read(&buf); !errors.Is(err, ErrUnknownType) {
+	if _, err := next([]byte{0, 0, 0, 1, 200}); !errors.Is(err, ErrUnknownType) { // length 1, type 200
 		t.Errorf("err = %v, want ErrUnknownType", err)
+	}
+	// A retired tag is as unknown as one never assigned.
+	if _, err := next([]byte{0, 0, 0, 9, 3, 0, 0, 0, 0, 0, 0, 0, 9}); !errors.Is(err, ErrUnknownType) {
+		t.Errorf("retired ACK tag: err = %v, want ErrUnknownType", err)
 	}
 }
 
 func TestReadRejectsOversizedFrame(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
-	if _, err := Read(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := next([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1}); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestReadRejectsEmptyFrame(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0})
-	if _, err := Read(&buf); !errors.Is(err, ErrTruncated) {
+	if _, err := next([]byte{0, 0, 0, 0}); !errors.Is(err, ErrTruncated) {
 		t.Errorf("err = %v, want ErrTruncated", err)
 	}
 }
 
 func TestReadRejectsTruncatedBody(t *testing.T) {
-	var full bytes.Buffer
-	if err := Write(&full, &Data{FrameID: 1, PacketID: 2, PublishedAt: time.Unix(0, 0), Payload: []byte("hello")}); err != nil {
-		t.Fatal(err)
-	}
-	raw := full.Bytes()
+	raw := AppendFrame(nil, &Data{FrameID: 1, PacketID: 2, PublishedAt: time.Unix(0, 0), Payload: []byte("hello")})
 	// Chop the body but fix the length header to the chopped size so the
 	// decoder (not ReadFull) sees the truncation.
 	for cut := 6; cut < len(raw)-1; cut += 7 {
 		chopped := append([]byte(nil), raw[:cut]...)
 		bodyLen := cut - 4
 		chopped[0], chopped[1], chopped[2], chopped[3] = 0, 0, byte(bodyLen>>8), byte(bodyLen)
-		if _, err := Read(bytes.NewReader(chopped)); err == nil {
+		if _, err := next(chopped); err == nil {
 			t.Errorf("cut at %d: truncated frame accepted", cut)
 		}
 	}
 }
 
 func TestReadRejectsTrailingGarbage(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, &Ack{FrameID: 9}); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := AppendFrame(nil, &Probe{Token: 9})
 	// Extend the body by one byte and bump the length.
 	raw = append(raw, 0xAA)
 	raw[3]++
-	if _, err := Read(bytes.NewReader(raw)); err == nil {
+	if _, err := next(raw); err == nil {
 		t.Error("frame with trailing bytes accepted")
 	}
 }
@@ -252,27 +238,25 @@ func TestLinkStateMembershipRejectsHostile(t *testing.T) {
 		"negative deadline":  members(binary.AppendVarint(binary.AppendVarint([]byte{1}, 7), -1)...),
 	}
 	for name, raw := range cases {
-		if _, err := Read(bytes.NewReader(raw)); err == nil {
-			t.Errorf("%s: Read accepted hostile frame", name)
-		}
-		if _, err := NewReader(bytes.NewReader(raw)).Next(); err == nil {
+		if _, err := next(raw); err == nil {
 			t.Errorf("%s: Reader accepted hostile frame", name)
 		}
 	}
-	if _, err := Read(bytes.NewReader(members(1, 7))); !errors.Is(err, ErrTruncated) {
+	if _, err := next(members(1, 7)); !errors.Is(err, ErrTruncated) {
 		t.Errorf("membership cut mid record: err = %v, want ErrTruncated", err)
 	}
 }
 
 func TestTypeStrings(t *testing.T) {
 	for ty, want := range map[Type]string{
-		TypeHello: "HELLO", TypeData: "DATA", TypeAck: "ACK",
-		TypePing: "PING", TypePong: "PONG",
-		TypeSubscribe: "SUBSCRIBE", TypePublish: "PUBLISH", TypeDeliver: "DELIVER",
+		TypeHello: "HELLO", TypeData: "DATA", TypePublish: "PUBLISH",
+		TypeStatsRequest: "STATS_REQUEST", TypeStatsReply: "STATS_REPLY",
 		TypeSessionHello: "SESSION_HELLO", TypeSessionSub: "SESSION_SUB",
 		TypeSessionUnsub: "SESSION_UNSUB", TypeMuxDeliver: "MUX_DELIVER",
 		TypeAckBatch: "ACK_BATCH", TypeDataBatch: "DATA_BATCH",
 		TypeLinkState: "LINK_STATE", TypeProbe: "PROBE",
+		TypeWalCustody: "WAL_CUSTODY", TypeWalClear: "WAL_CLEAR",
+		TypeWalDeliver: "WAL_DELIVER", TypeWalMeta: "WAL_META",
 	} {
 		if ty.String() != want {
 			t.Errorf("%d.String() = %q, want %q", ty, ty.String(), want)
@@ -281,13 +265,18 @@ func TestTypeStrings(t *testing.T) {
 	if Type(99).String() != "Type(99)" {
 		t.Errorf("unknown type string = %q", Type(99).String())
 	}
-	// The retired ADVERT tag stays a hole: every later tag keeps its byte
-	// value, including the WAL record types already on disk.
-	if Type(4).String() != "Type(4)" {
-		t.Errorf("retired tag 4 string = %q", Type(4).String())
+	// Retired tags stay holes: every later tag keeps its byte value,
+	// including the WAL record types already on disk.
+	for _, retired := range []Type{3, 4, 5, 6, 7, 8, 10} {
+		if s := retired.String(); s != fmt.Sprintf("Type(%d)", uint8(retired)) {
+			t.Errorf("retired tag %d string = %q", uint8(retired), s)
+		}
 	}
 	for ty, want := range map[Type]uint8{
-		TypePing: 5, TypeLinkState: 19, TypeProbe: 20,
+		TypeHello: 1, TypeData: 2, TypePublish: 9,
+		TypeStatsRequest: 11, TypeStatsReply: 12,
+		TypeSessionHello: 13, TypeSessionSub: 14, TypeSessionUnsub: 15, TypeMuxDeliver: 16,
+		TypeAckBatch: 17, TypeDataBatch: 18, TypeLinkState: 19, TypeProbe: 20,
 		TypeWalCustody: 21, TypeWalClear: 22, TypeWalDeliver: 23, TypeWalMeta: 24,
 	} {
 		if uint8(ty) != want {
@@ -316,11 +305,7 @@ func TestDataRoundTripProperty(t *testing.T) {
 			Path:        path,
 			Payload:     payload,
 		}
-		var buf bytes.Buffer
-		if err := Write(&buf, in); err != nil {
-			return false
-		}
-		out, err := Read(&buf)
+		out, err := next(AppendFrame(nil, in))
 		if err != nil {
 			return false
 		}
@@ -363,13 +348,13 @@ func BenchmarkDataRoundTrip(b *testing.B) {
 		Payload:     bytes.Repeat([]byte("x"), 256),
 	}
 	b.ReportAllocs()
-	var buf bytes.Buffer
+	var buf []byte
+	src := bytes.NewReader(nil)
+	rd := NewReader(src)
 	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := Write(&buf, msg); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Read(&buf); err != nil {
+		buf = AppendFrame(buf[:0], msg)
+		src.Reset(buf)
+		if _, err := rd.Next(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,10 +14,9 @@
 #   - BenchmarkBroker*, BenchmarkEdge* and BenchmarkRelayChain
 #     (internal/broker): live-broker forwarding and fan-out throughput
 #     (msgs/sec, deliveries/sec) over localhost, the edge-tier aggregation
-#     benchmark (bytes/delivery, frames/delivery for per-subscriber vs
-#     multiplexed delivery), and the relay-plane aggregation benchmark
-#     (bytes/packet, frames/packet across a 3-broker chain, legacy framing
-#     vs negotiated DATA_BATCH/ACK_BATCH)
+#     benchmark (bytes/delivery, frames/delivery for 100 subscribers over 4
+#     sessions), and the relay-plane aggregation benchmark (bytes/packet,
+#     frames/packet across a 3-broker chain in DATA_BATCH/ACK_BATCH framing)
 #   - BenchmarkControlPlaneEpoch (internal/algo1): one Driver.Rebuild as the
 #     live broker's LinkStateInterval tick calls it — quiet (estimate
 #     version unchanged, a pointer-identity no-op) and dirty (a sparse
