@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/seen"
 	"repro/internal/trace"
 )
 
@@ -161,7 +162,8 @@ type Config struct {
 	// AckGuard is added on top of Deps.AckWait when arming ACK timers.
 	AckGuard time.Duration
 	// MaxLifetime bounds how long a packet may stay in flight before the
-	// engine gives up; it also scales the frame-dedup retention horizon.
+	// engine gives up; the frame-dedup set remembers IDs for
+	// seen.Horizon(MaxLifetime).
 	MaxLifetime time.Duration
 	// Persistent enables the paper's §III persistency mode: an origin that
 	// exhausts every neighbor holds the packet and retries from scratch at
@@ -180,7 +182,7 @@ func (c Config) withDefaults() Config {
 		c.AckGuard = time.Millisecond
 	}
 	if c.MaxLifetime <= 0 {
-		c.MaxLifetime = 30 * time.Second
+		c.MaxLifetime = seen.DefaultMaxLifetime
 	}
 	return c
 }
@@ -301,73 +303,6 @@ func (p *Pools[T]) releaseFlight(fl *flight[T]) {
 	p.freeFlight = append(p.freeFlight, fl)
 }
 
-// dedupHorizonFactor scales MaxLifetime into the dedup retention horizon.
-// Two lifetimes comfortably cover the last possible duplicate delivery
-// (transmissions stop at publish+MaxLifetime; one link delay plus one ACK
-// timeout later nothing new can arrive), so expiring seen entries beyond it
-// can never resurrect a packet.
-const dedupHorizonFactor = 2
-
-// seenChunk is the dedup state of 64 consecutive frame IDs: one bit per ID
-// and the time of the newest insert. It holds no pointers, so the garbage
-// collector never scans the set.
-type seenChunk struct {
-	bits uint64
-	last time.Duration
-}
-
-// seenSet remembers processed frame IDs by the chunk (id>>6). A chunk is
-// forgotten only once its newest insert is older than the horizon, so every
-// ID is remembered at least that long and at most the time its chunk took to
-// fill longer (seenQ expires in creation order, which can hold a chunk behind
-// one that filled more slowly). Frame IDs are allocated by counters — live as
-// broker<<48 | shard<<42 | counter — so a stream's neighbours share a chunk
-// and one bit per frame is close to what the set costs.
-type seenSet struct {
-	chunks map[uint64]seenChunk
-	seenQ  []seenRec // live chunks, oldest first
-	head   int
-}
-
-// seenRec queues one chunk for expiry. at is a time the chunk is known to
-// have had an insert (its first, until a look finds a newer one): the chunk
-// cannot expire before at+horizon, so add reads the old, cache-cold chunk
-// itself only then and not on every insert.
-type seenRec struct {
-	key uint64
-	at  time.Duration
-}
-
-// has reports whether id was added and not yet forgotten.
-func (s *seenSet) has(id uint64) bool {
-	return s.chunks[id>>6].bits&(1<<(id&63)) != 0
-}
-
-// add inserts id at time now (which never decreases) and forgets the chunks
-// whose newest insert is more than horizon old.
-func (s *seenSet) add(id uint64, now, horizon time.Duration) {
-	for s.head < len(s.seenQ) && now-s.seenQ[s.head].at > horizon {
-		rec := &s.seenQ[s.head]
-		if last := s.chunks[rec.key].last; now-last <= horizon {
-			rec.at = last
-			break
-		}
-		delete(s.chunks, rec.key)
-		s.head++
-	}
-	if s.head > 64 && s.head*2 >= len(s.seenQ) {
-		s.seenQ = s.seenQ[:copy(s.seenQ, s.seenQ[s.head:])]
-		s.head = 0
-	}
-	c, ok := s.chunks[id>>6]
-	if !ok {
-		s.seenQ = append(s.seenQ, seenRec{key: id >> 6, at: now})
-	}
-	c.bits |= 1 << (id & 63)
-	c.last = now
-	s.chunks[id>>6] = c
-}
-
 // Engine is one node's Algorithm-2 state: deduplication of received frames
 // and the set of sent-but-unacknowledged groups. Per the paper, no
 // per-packet routing state survives once the downstream ACK arrives.
@@ -381,7 +316,7 @@ type Engine[T any] struct {
 	cfg   Config
 	id    int
 
-	seen     seenSet
+	frames   *seen.Set // processed frame IDs
 	inflight map[uint64]*flight[T]
 	// pendingRetries tracks scheduled re-process events (deferred retries
 	// after a missing link, persistency holds) so Shutdown can cancel them
@@ -409,7 +344,7 @@ func NewEngine[T any](cfg Config, deps Deps[T], pools *Pools[T]) *Engine[T] {
 		pools:        pools,
 		cfg:          cfg,
 		id:           cfg.NodeID,
-		seen:         seenSet{chunks: make(map[uint64]seenChunk)},
+		frames:       seen.New(seen.Horizon(cfg.MaxLifetime)),
 		inflight:     make(map[uint64]*flight[T]),
 		ackTimeoutFn: ackTimeoutFired[T],
 		reprocessFn:  reprocessWork[T],
@@ -597,7 +532,7 @@ func (e *Engine[T]) Publish(pkt Packet, dests []int) {
 // SeenFrame reports whether a frame ID was already processed, without
 // inserting it. No shell calls it (HandleData does its own check); tests
 // use it to observe the dedup set.
-func (e *Engine[T]) SeenFrame(id uint64) bool { return e.seen.has(id) }
+func (e *Engine[T]) SeenFrame(id uint64) bool { return e.frames.Has(id) }
 
 // HandleData implements Algorithm 2 lines 1–6 for one received data frame:
 // deduplicate, deliver to local subscribers, then start processing the
@@ -605,10 +540,9 @@ func (e *Engine[T]) SeenFrame(id uint64) bool { return e.seen.has(id) }
 // it is sent for every received frame, duplicates included, before calling
 // HandleData.
 func (e *Engine[T]) HandleData(in Inbound) {
-	if e.seen.has(in.FrameID) {
+	if e.frames.Seen(in.FrameID, e.deps.Now()) {
 		return // retransmission of an already-processed frame
 	}
-	e.seen.add(in.FrameID, e.deps.Now(), dedupHorizonFactor*e.cfg.MaxLifetime)
 
 	w := e.pools.allocWork(e)
 	w.setPkt(in.Pkt)

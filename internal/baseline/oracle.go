@@ -6,6 +6,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/pubsub"
+	"repro/internal/seen"
 	"repro/internal/topology"
 )
 
@@ -39,14 +40,11 @@ type oracleNode struct {
 	gp     grouper
 }
 
-// defaultOracleLifetime bounds retries for packets caught in long outages.
-const defaultOracleLifetime = 30 * time.Second
-
 // NewOracleRouter installs the oracle protocol on every node. lifetime
-// bounds per-packet retrying; 0 means the 30 s default.
+// bounds per-packet retrying; 0 means seen.DefaultMaxLifetime.
 func NewOracleRouter(net *netsim.Network, w *pubsub.Workload, col *metrics.Collector, lifetime time.Duration) (*OracleRouter, error) {
 	if lifetime <= 0 {
-		lifetime = defaultOracleLifetime
+		lifetime = seen.DefaultMaxLifetime
 	}
 	g := net.Graph()
 	r := &OracleRouter{

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/seen"
 	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -66,7 +67,8 @@ type Config struct {
 	// re-establishes it) instead of wedging the writer goroutine behind a
 	// stalled peer forever.
 	WriteTimeout time.Duration
-	// MaxLifetime bounds how long one packet may be retried.
+	// MaxLifetime bounds how long one packet may be retried; every dedup
+	// set remembers an ID for seen.Horizon(MaxLifetime).
 	MaxLifetime time.Duration
 	// Persistent enables the paper's §III persistency mode: a publish whose
 	// origin exhausts every neighbor is held and retried every RetryInterval
@@ -147,7 +149,7 @@ func (c Config) withDefaults() Config {
 		c.WriteTimeout = 5 * time.Second
 	}
 	if c.MaxLifetime <= 0 {
-		c.MaxLifetime = 30 * time.Second
+		c.MaxLifetime = seen.DefaultMaxLifetime
 	}
 	if c.RetryInterval <= 0 {
 		c.RetryInterval = 100 * time.Millisecond
@@ -336,6 +338,9 @@ func New(cfg Config) (*Broker, error) {
 	for i := range b.shards {
 		b.shards[i] = newShard(b, i, frameSeed)
 	}
+	if recovered != nil {
+		b.seedDelivered(recovered)
+	}
 	// Shard goroutines start with the broker itself (not StartListener):
 	// tests and tools may attach pipe connections and pump frames before a
 	// listener exists, and those frames need running shards.
@@ -388,40 +393,6 @@ func (b *Broker) barrier(fn func(*shard)) bool {
 		}
 	}
 	return true
-}
-
-// dedup is a bounded recently-seen set of uint64 keys: once full, the
-// oldest entries are evicted FIFO. Long-lived brokers would otherwise grow
-// their frame/packet dedup state without bound.
-type dedup struct {
-	set   map[uint64]struct{}
-	order []uint64
-	head  int
-	max   int
-}
-
-func newDedup(max int) *dedup {
-	if max < 1 {
-		max = 1
-	}
-	return &dedup{set: make(map[uint64]struct{}, max), max: max}
-}
-
-// Seen reports whether k was already present, inserting it if not.
-func (d *dedup) Seen(k uint64) bool {
-	if _, ok := d.set[k]; ok {
-		return true
-	}
-	if len(d.order) < d.max {
-		d.order = append(d.order, k)
-	} else {
-		oldest := d.order[d.head]
-		delete(d.set, oldest)
-		d.order[d.head] = k
-		d.head = (d.head + 1) % d.max
-	}
-	d.set[k] = struct{}{}
-	return false
 }
 
 // ID returns the broker's overlay identifier.

@@ -4,51 +4,48 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/algo2"
 )
 
-func TestDedupBasics(t *testing.T) {
-	d := newDedup(4)
-	for i := uint64(0); i < 4; i++ {
-		if d.Seen(i) {
-			t.Fatalf("fresh key %d reported seen", i)
-		}
-		if !d.Seen(i) {
-			t.Fatalf("repeated key %d reported fresh", i)
-		}
+// TestShardDeliveryInsideHorizonDeduplicated: a shard delivers packet P,
+// then 400,000 other packets (10 s of relay_clean's 40k pps, arriving within
+// about a second of shard clock), then a failover copy of P. The copy is
+// inside the horizon, so it is not delivered a second time.
+func TestShardDeliveryInsideHorizonDeduplicated(t *testing.T) {
+	const topic = int32(9)
+	b, err := New(Config{ID: 0, Listen: "unused", Shards: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
+	t.Cleanup(func() { _ = b.Close() })
+	b.subsSnap.Store(&subsSnapshot{byTopic: map[int32]*topicLedger{topic: {subs: 1}}})
+	s := newShard(b, 0, 1) // no goroutine runs it: the test is the shard goroutine
+	defer s.drain()
+	sh := shardShell{s}
+	body := b.newPayload([]byte("p"))
+	defer body.Release()
 
-func TestDedupEvictsOldestFIFO(t *testing.T) {
-	d := newDedup(3)
-	for i := uint64(1); i <= 3; i++ {
-		d.Seen(i)
+	delivered := 0 // deliveries queued for P
+	deliver := func(pid uint64) {
+		sh.Deliver(&algo2.Packet{ID: pid, Topic: topic, Payload: body}, 1)
+		for i := range s.pendingDeliver {
+			if s.pendingDeliver[i].pktID == 1<<48|1 {
+				delivered++
+			}
+			s.pendingDeliver[i].payload.Release()
+		}
+		s.pendingDeliver = s.pendingDeliver[:0]
 	}
-	d.Seen(4) // evicts 1
-	if d.Seen(1) {
-		t.Error("evicted key 1 still reported seen")
+	start := sh.Now()
+	deliver(1<<48 | 1)
+	for i := uint64(2); i <= 400_001; i++ {
+		deliver(1<<48 | i)
 	}
-	// Re-adding 1 evicted 2 (oldest remaining).
-	if d.Seen(2) {
-		t.Error("key 2 should have been evicted")
-	}
-	// 3 and 4 were pushed out by the re-adds of 1 and 2? Order now: after
-	// inserts 1..3 -> [1 2 3]; Seen(4) evicts 1 -> [4 2 3]; Seen(1) evicts
-	// 2 -> [4 1 3]; Seen(2) evicts 3 -> [4 1 2]. So 4 must still be seen.
-	if !d.Seen(4) {
-		t.Error("key 4 should still be present")
-	}
-}
-
-func TestDedupMinimumCapacity(t *testing.T) {
-	d := newDedup(0) // clamps to 1
-	if d.Seen(1) {
-		t.Error("fresh key seen")
-	}
-	if d.Seen(2) {
-		t.Error("fresh key seen")
-	}
-	if d.Seen(1) {
-		t.Error("key 1 should have been evicted by key 2")
+	t.Logf("400,000 deliveries took %v of shard clock", sh.Now()-start)
+	deliver(1<<48 | 1) // the failover copy
+	if delivered != 1 {
+		t.Errorf("packet delivered %d times, want once", delivered)
 	}
 }
 

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"repro/internal/seen"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -31,12 +32,14 @@ func seedsFromIncarnation(inc uint64) (pktSeed, frameSeed uint64) {
 
 // openWal opens (recovering if needed) the custody journal under
 // Config.DataDir. Called by New before the shards are built: the persisted
-// incarnation seeds the ID counters, and the recovered flights are replayed
-// once the shard goroutines run.
+// incarnation seeds the ID counters, the recovered deliveries seed the shards'
+// delivery sets before their goroutines start, and the recovered flights are
+// replayed once they run.
 func (b *Broker) openWal() (*wal.Recovered, error) {
 	w, rec, err := wal.Open(wal.Config{
 		Dir:         b.cfg.DataDir,
 		NodeID:      b.cfg.ID,
+		Horizon:     seen.Horizon(b.cfg.MaxLifetime),
 		OnDurable:   b.onWalDurable,
 		BeforeFlush: b.cfg.walBeforeFlush,
 		Logf:        b.logf,
@@ -78,11 +81,20 @@ func (b *Broker) onWalDurable(frameID uint64, from int) {
 	}
 }
 
-// replayRecovered re-injects the crash-surviving custody state into the
-// shard engines as ordinary mailbox work. Delivered packet IDs are seeded
-// first, so a replayed flight that still lists this broker among its dests
-// cannot deliver locally a second time; then each outstanding flight
-// resumes retransmission where the previous incarnation held custody:
+// seedDelivered inserts the packet IDs the WAL recorded as delivered locally
+// into their shards' delivery sets, at shard clock ≈ 0, so replay cannot
+// deliver them twice. New calls it before the shard goroutines start.
+func (b *Broker) seedDelivered(rec *wal.Recovered) {
+	for _, pid := range rec.Delivered {
+		s := b.shardOf(pid)
+		s.deliveredSeen.Seen(pid, shardShell{s}.Now())
+	}
+}
+
+// replayRecovered re-injects the crash-surviving custody flights into the
+// shard engines as ordinary mailbox work (seedDelivered ran first). Each
+// outstanding flight resumes retransmission where the previous incarnation
+// held custody:
 //
 //   - relayed flights (frame ID != 0) re-enter as inbound DATA carrying the
 //     original frame ID, remaining dests and path — an upstream that never
@@ -96,12 +108,6 @@ func (b *Broker) onWalDurable(frameID uint64, from int) {
 // registrations are not durable, and a topic with no ledger counts as
 // delivered (the same rule the live Deliver path applies).
 func (b *Broker) replayRecovered(rec *wal.Recovered) {
-	for _, pid := range rec.Delivered {
-		it := getItem()
-		it.kind = itemSeedDelivered
-		it.pktID = pid
-		b.shardOf(pid).enqueue(it)
-	}
 	for i := range rec.Flights {
 		d := &rec.Flights[i].Rec
 		it := getItem()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/algo2"
 	"repro/internal/des"
+	"repro/internal/seen"
 	"repro/internal/wire"
 )
 
@@ -46,10 +47,6 @@ const (
 	itemData
 	itemAck
 	itemBarrier
-	// itemSeedDelivered preloads the shard's delivery-dedup set with a
-	// packet ID the WAL recorded as already delivered locally, so durable
-	// replay cannot deliver it twice (durable.go).
-	itemSeedDelivered
 )
 
 // shardItem is one unit of mailbox work. Items are pooled; producers fill
@@ -108,7 +105,7 @@ type shard struct {
 	timers         *des.Simulator
 	wake           *time.Timer
 	wakeAt         time.Duration
-	deliveredSeen  *dedup
+	deliveredSeen  *seen.Set // delivered packet IDs, on the shard clock
 	pendingDeliver []queuedDeliver
 	nextFrameID    uint64
 
@@ -128,13 +125,10 @@ type shard struct {
 func newShard(b *Broker, idx int, frameSeed uint64) *shard {
 	nodesHint := b.cfg.ID + len(b.cfg.Neighbors) + 1
 	s := &shard{
-		b:   b,
-		idx: idx,
-		mb:  make(chan *shardItem, shardMailboxLen),
-		// The delivery-dedup budget is split across shards (packet affinity
-		// means each packet consults exactly one shard's set), floored so
-		// tiny deployments with many shards keep a useful horizon.
-		deliveredSeen: newDedup(max(1<<16/b.cfg.Shards, 1<<12)),
+		b:             b,
+		idx:           idx,
+		mb:            make(chan *shardItem, shardMailboxLen),
+		deliveredSeen: seen.New(seen.Horizon(b.cfg.MaxLifetime)),
 		nextFrameID:   frameSeed & (1<<42 - 1),
 		timers:        des.New(0),
 		wake:          time.NewTimer(time.Hour),
@@ -297,8 +291,6 @@ func (s *shard) handle(it *shardItem) {
 			it.bfn(s)
 		}
 		it.acks <- struct{}{}
-	case itemSeedDelivered:
-		s.deliveredSeen.Seen(it.pktID)
 	}
 	putItem(it)
 	s.flushPending()
@@ -440,7 +432,7 @@ func (sh shardShell) LinkUp(k int) bool {
 // affinity guarantees every copy of one packet consults the same set.
 func (sh shardShell) Deliver(pkt *algo2.Packet, _ int) {
 	s := sh.s
-	if s.deliveredSeen.Seen(pkt.ID) {
+	if s.deliveredSeen.Seen(pkt.ID, sh.Now()) {
 		return
 	}
 	if s.b.wal != nil {

@@ -124,11 +124,10 @@ func TestShardTurnQueuedAckBeatsItsTimeout(t *testing.T) {
 	if s.eng.InflightCount() != 1 {
 		t.Fatalf("inflight = %d after the publish, want 1", s.eng.InflightCount())
 	}
-	// A deep mailbox with the ACK at its very end.
+	// A deep mailbox with the ACK at its very end, behind ACKs for a frame
+	// ID nothing sent (no-ops: no frame carries ID 0).
 	for i := 0; i < shardMailboxLen-1; i++ {
-		it := getItem()
-		it.kind = itemSeedDelivered
-		s.mb <- it
+		s.mb <- ackItem(0)
 	}
 	s.mb <- ackItem(fid)
 	s.turn(now + time.Hour)

@@ -18,6 +18,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/pubsub"
+	"repro/internal/seen"
 	"repro/internal/trace"
 )
 
@@ -32,7 +33,8 @@ type RouterOptions struct {
 	AckGuard time.Duration
 	// MaxLifetime bounds how long a packet may stay in flight before the
 	// router gives up (covers persistent partitions, which the paper
-	// delegates to its out-of-scope persistency mode). Default 30 s.
+	// delegates to its out-of-scope persistency mode). Default
+	// seen.DefaultMaxLifetime (30 s).
 	MaxLifetime time.Duration
 	// Persistent enables the paper's §III persistency mode: when the
 	// origin exhausts every neighbor, the packet is held and resent from
@@ -57,7 +59,7 @@ func (o RouterOptions) withDefaults() RouterOptions {
 		o.AckGuard = time.Millisecond
 	}
 	if o.MaxLifetime <= 0 {
-		o.MaxLifetime = 30 * time.Second
+		o.MaxLifetime = seen.DefaultMaxLifetime
 	}
 	if o.Build.M == 0 {
 		o.Build.M = o.M

@@ -25,10 +25,11 @@
 // sends the upstream hop-by-hop ACK from that callback — the ACK is the
 // durability promise). Many custody records therefore share one fdatasync.
 //
-// Checkpointing. When the live segment exceeds SegmentBytes the committer
-// writes a compacted snapshot — meta, every still-outstanding custody record
-// and the delivered-packet set — into a fresh segment and deletes the old
-// ones. Records whose destinations all settled vanish entirely.
+// Checkpointing. When more than SegmentBytes have been appended since the
+// last checkpoint the committer writes a compacted snapshot — meta, every
+// still-outstanding custody record and the delivered-packet set — into a
+// fresh segment and deletes the old ones. Records whose destinations all
+// settled vanish entirely.
 //
 // Recovery. Open scans the segments in order, tolerating a torn tail
 // (truncated or CRC-corrupt records stop the scan of that segment), rebuilds
@@ -47,7 +48,9 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"repro/internal/seen"
 	"repro/internal/wire"
 )
 
@@ -58,11 +61,6 @@ const (
 	// maxPendingBytes bounds the un-flushed group-commit buffer; appenders
 	// block (backpressure onto the connection read loops) when it fills.
 	maxPendingBytes = 4 << 20
-	// frameDedupMax bounds the duplicate-custody suppression set, and
-	// deliveredMax the delivered-packet set — both FIFO-evicted, mirroring
-	// the broker's in-memory dedup horizons.
-	frameDedupMax = 1 << 16
-	deliveredMax  = 1 << 16
 	// incarnationBits is how many low bits of the incarnation counter the
 	// broker folds into the top of its frame/packet minting counters.
 	incarnationBits = 10
@@ -82,8 +80,12 @@ type Config struct {
 	// NodeID is the owning broker's overlay ID (delivered packets clear the
 	// broker's own entry from a custody record's destination set).
 	NodeID int
-	// SegmentBytes is the rotation threshold (DefaultSegmentBytes if 0).
+	// SegmentBytes is the rotation threshold: the bytes appended after the
+	// last checkpoint (DefaultSegmentBytes if 0).
 	SegmentBytes int64
+	// Horizon is how long the log remembers custody frame and delivered
+	// packet IDs (seen.Horizon(seen.DefaultMaxLifetime) if 0).
+	Horizon time.Duration
 	// OnDurable, if set, is invoked by the committer after the fsync that
 	// made a custody record durable, once per AppendCustody call that
 	// supplied from >= 0. The broker sends the upstream hop-by-hop ACK
@@ -141,34 +143,6 @@ type durableCB struct {
 	from    int
 }
 
-// seenSet is a bounded recently-seen set of uint64 keys with FIFO eviction.
-type seenSet struct {
-	set   map[uint64]struct{}
-	order []uint64
-	head  int
-	max   int
-}
-
-func newSeenSet(max int) *seenSet {
-	return &seenSet{set: make(map[uint64]struct{}, max), max: max}
-}
-
-// seen reports whether k was already present, inserting it if not.
-func (s *seenSet) seen(k uint64) bool {
-	if _, ok := s.set[k]; ok {
-		return true
-	}
-	if len(s.order) < s.max {
-		s.order = append(s.order, k)
-	} else {
-		delete(s.set, s.order[s.head])
-		s.order[s.head] = k
-		s.head = (s.head + 1) % s.max
-	}
-	s.set[k] = struct{}{}
-	return false
-}
-
 // Log is an open custody journal. Appends are safe for concurrent use; one
 // committer goroutine owns the file.
 type Log struct {
@@ -189,12 +163,13 @@ type Log struct {
 
 	// Live custody state, mutated under mu as records are appended.
 	live      map[uint64][]*entry // by packet ID
-	frames    *seenSet            // custody frame IDs (dup suppression)
-	delivered *seenSet            // locally delivered packet IDs
+	frames    *seen.Set           // custody frame IDs (dup suppression)
+	delivered *seen.Set           // locally delivered packet IDs
+	start     time.Time
 
 	f           *os.File
 	seq         uint64
-	segBytes    int64
+	segBytes    int64 // appended since the segment's checkpoint
 	incarnation uint64
 
 	// Encode scratch, reused under mu so appends don't allocate messages.
@@ -219,14 +194,18 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = DefaultSegmentBytes
 	}
+	if cfg.Horizon <= 0 {
+		cfg.Horizon = seen.Horizon(seen.DefaultMaxLifetime)
+	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{
 		cfg:       cfg,
 		live:      make(map[uint64][]*entry),
-		frames:    newSeenSet(frameDedupMax),
-		delivered: newSeenSet(deliveredMax),
+		frames:    seen.New(cfg.Horizon),
+		delivered: seen.New(cfg.Horizon),
+		start:     time.Now(),
 		kick:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
@@ -259,7 +238,7 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 			rec.Flights = append(rec.Flights, e.flight(&rr))
 		}
 	}
-	rec.Delivered = sortedKeys(l.delivered.set)
+	rec.Delivered = l.delivered.IDs()
 
 	// Write the compacted state as a fresh segment, then drop the old ones:
 	// recovery work is never repeated, and the bumped incarnation is durable
@@ -288,6 +267,10 @@ func listSegments(dir string) ([]uint64, error) {
 	slices.Sort(seqs)
 	return seqs, nil
 }
+
+// now is the dedup sets' clock, read under mu: time since Open, so recovery
+// inserts at ≈ 0 and a recovered ID lasts a full horizon after a restart.
+func (l *Log) now() time.Duration { return time.Since(l.start) }
 
 // sortedKeys returns a packet-ID map's keys ascending, so recovery output
 // and checkpoints are deterministic.
@@ -395,7 +378,7 @@ func nextRecord(rr *records, buf []byte) (msg wire.Message, n int, ok bool) {
 // the recovery reader's, so the entry copies what it keeps.
 func (l *Log) applyCustody(m *wire.WalCustody, recBytes []byte) {
 	if m.FrameID != 0 {
-		if l.frames.seen(m.FrameID) {
+		if l.frames.Seen(m.FrameID, l.now()) {
 			return
 		}
 	} else {
@@ -412,7 +395,7 @@ func (l *Log) applyCustody(m *wire.WalCustody, recBytes []byte) {
 		rec:         append([]byte(nil), recBytes...),
 		outstanding: append([]int32(nil), m.Dests...),
 	}
-	if _, del := l.delivered.set[m.PacketID]; del {
+	if l.delivered.Has(m.PacketID) {
 		e.clearDest(int32(l.cfg.NodeID))
 	}
 	if len(e.outstanding) == 0 {
@@ -465,7 +448,7 @@ func (l *Log) applyClear(pid uint64, dests []int32) {
 // applyDeliver marks a packet locally delivered and settles this broker's
 // own destination entry in its custody records.
 func (l *Log) applyDeliver(pid uint64) {
-	l.delivered.seen(pid)
+	l.delivered.Seen(pid, l.now())
 	l.applyClear(pid, []int32{int32(l.cfg.NodeID)})
 }
 
@@ -482,7 +465,7 @@ func (l *Log) AppendCustody(d *wire.Data, from int) {
 		l.mu.Unlock()
 		return
 	}
-	dup := d.FrameID != 0 && l.frames.seen(d.FrameID)
+	dup := d.FrameID != 0 && l.frames.Seen(d.FrameID, l.now())
 	if !dup {
 		base := len(l.pending)
 		l.custodyMsg.Data = *d
@@ -680,7 +663,7 @@ func (l *Log) checkpointLocked(oldSeqs []uint64) error {
 			}
 		}
 	}
-	for _, pid := range sortedKeys(l.delivered.set) {
+	for _, pid := range l.delivered.IDs() {
 		buf = appendRecord(buf, &wire.WalDeliver{PacketID: pid})
 	}
 
@@ -703,7 +686,7 @@ func (l *Log) checkpointLocked(oldSeqs []uint64) error {
 	oldSeq := l.seq
 	l.f = f
 	l.seq = newSeq
-	l.segBytes = int64(len(buf))
+	l.segBytes = 0
 	l.bytesW.Add(uint64(len(buf)))
 	l.fsyncs.Add(1)
 	if old != nil {

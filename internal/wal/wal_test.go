@@ -353,3 +353,154 @@ func TestGarbageSegment(t *testing.T) {
 		t.Fatalf("garbage recovered state: %+v", rec)
 	}
 }
+
+// TestWriteFailureVoidsTheLog: a batch the disk refuses voids the log. No
+// durability callback fires for that batch or anything after it, later
+// appends are refused, Close promises nothing, and a reopen recovers exactly
+// what was fsynced before the failure. The live segment is swapped for a
+// read-only handle on the same file, so its next write fails the way a full
+// disk's would.
+func TestWriteFailureVoidsTheLog(t *testing.T) {
+	dir := t.TempDir()
+	acks := make(chan uint64, 16)
+	cfg := Config{Dir: dir, NodeID: 0, OnDurable: func(frameID uint64, _ int) { acks <- frameID }}
+	l, _ := openT(t, cfg)
+	l.AppendCustody(testData(10, 100, 2), 1)
+	select {
+	case id := <-acks:
+		if id != 10 {
+			t.Fatalf("ack for frame %d, want 10", id)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the durable batch was never ACKed")
+	}
+
+	l.mu.Lock()
+	ro, err := os.Open(l.f.Name())
+	if err != nil {
+		l.mu.Unlock()
+		t.Fatal(err)
+	}
+	l.f.Close()
+	l.f = ro
+	l.mu.Unlock()
+
+	l.AppendCustody(testData(11, 200, 2), 1)
+	broken := func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.broken
+	}
+	for deadline := time.Now().Add(5 * time.Second); !broken(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the failed write did not void the log")
+		}
+	}
+	appends := l.Stats().Appends
+	l.AppendCustody(testData(12, 300, 2), 1)
+	l.AppendClear(100, nil)
+	l.AppendDeliver(100)
+	if got := l.Stats().Appends; got != appends {
+		t.Errorf("a voided log accepted %d more records", got-appends)
+	}
+	if err := l.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	select {
+	case id := <-acks:
+		t.Errorf("durability callback for frame %d after the write failure", id)
+	default:
+	}
+
+	l2, rec := openT(t, cfg)
+	defer l2.Close()
+	if len(rec.Flights) != 1 || !reflect.DeepEqual(flightDests(rec, 100), []int32{2}) {
+		t.Errorf("recovered %d flights (packet 100 dests %v), want exactly the fsynced one", len(rec.Flights), flightDests(rec, 100))
+	}
+	if len(rec.Delivered) != 0 {
+		t.Errorf("recovered deliveries %v, want none", rec.Delivered)
+	}
+}
+
+// TestRetransmissionInsideHorizonNotRejournaled: a frame whose custody has
+// settled is not journaled again when its retransmission arrives 100,000
+// frames later — 10 s at the relay benchmark's 10k pps, well inside the
+// horizon — so a reopen does not bring it back as a flight.
+func TestRetransmissionInsideHorizonNotRejournaled(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, NodeID: 0}
+	l, _ := openT(t, cfg)
+	const upstream = uint64(1)<<48 | 1<<42 // one upstream shard's frame IDs
+	first := testData(upstream|1, 1, 2)
+	l.AppendCustody(first, -1)
+	l.AppendClear(1, nil)
+	for i := uint64(2); i <= 100_001; i++ {
+		l.AppendCustody(testData(upstream|i, i, 2), -1)
+	}
+	appends := l.Stats().Appends
+	l.AppendCustody(first, -1) // the retransmission
+	if got := l.Stats().Appends; got != appends {
+		t.Errorf("the retransmitted frame was journaled again (%d records)", got-appends)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, rec := openT(t, cfg)
+	defer l2.Close()
+	if got := flightDests(rec, 1); got != nil {
+		t.Errorf("settled packet 1 came back as a flight to %v", got)
+	}
+	if len(rec.Flights) != 100_000 {
+		t.Errorf("recovered %d flights, want 100000", len(rec.Flights))
+	}
+}
+
+// TestDeliveryInsideHorizonSurvivesCheckpoint: a delivery followed by
+// 100,000 others, all inside the horizon, is still in the delivered set a
+// checkpoint writes, and so in Recovered.Delivered after a reopen. The flush
+// is held until every record is pending, so the checkpoint comes after the
+// last delivery.
+func TestDeliveryInsideHorizonSurvivesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	cfg := Config{Dir: dir, NodeID: 0, SegmentBytes: 1 << 20, BeforeFlush: func() { <-gate }}
+	l, _ := openT(t, cfg)
+	const origin = uint64(3) << 48
+	for i := uint64(1); i <= 100_001; i++ {
+		l.AppendDeliver(origin | i)
+	}
+	close(gate)
+	for deadline := time.Now().Add(5 * time.Second); l.Stats().Checkpoints == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint after 100,001 deliveries over a 1 MiB segment budget")
+		}
+	}
+	// The checkpoint is bigger than SegmentBytes; the next flush must not
+	// take that for a full segment and checkpoint again.
+	fsyncs := l.Stats().Fsyncs
+	l.AppendDeliver(origin | 100_002)
+	for deadline := time.Now().Add(5 * time.Second); l.Stats().Fsyncs == fsyncs; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the delivery after the checkpoint was never flushed")
+		}
+	}
+	l.mu.Lock() // the flush's checkpoint decision is made under mu
+	l.mu.Unlock()
+	if n := l.Stats().Checkpoints; n != 1 {
+		t.Errorf("%d checkpoints, want 1: a checkpoint larger than SegmentBytes triggered the next", n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.BeforeFlush = nil
+	l2, rec := openT(t, cfg)
+	defer l2.Close()
+	if len(rec.Delivered) == 0 || rec.Delivered[0] != origin|1 {
+		t.Errorf("the first delivery is missing from the %d recovered", len(rec.Delivered))
+	}
+	if len(rec.Delivered) != 100_002 {
+		t.Errorf("recovered %d deliveries, want 100002", len(rec.Delivered))
+	}
+}
