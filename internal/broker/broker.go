@@ -65,7 +65,8 @@ type Config struct {
 	// WriteTimeout bounds each coalesced flush to a peer; a flush that
 	// cannot complete in time drops the connection (and the dial loop
 	// re-establishes it) instead of wedging the writer goroutine behind a
-	// stalled peer forever.
+	// stalled peer forever. The writer moves the deadline only once half
+	// of it is spent, so a flush gets between half and all of it.
 	WriteTimeout time.Duration
 	// MaxLifetime bounds how long one packet may be retried; every dedup
 	// set remembers an ID for seen.Horizon(MaxLifetime).

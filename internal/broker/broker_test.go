@@ -398,6 +398,72 @@ func TestDialerBacksOffWhenRefused(t *testing.T) {
 	}
 }
 
+// TestWedgedNeighborFailsWriteWithinTimeout: the writer moves a link's write
+// deadline only once half of WriteTimeout is spent, yet it survives a peer
+// that keeps reading for several timeouts, and a peer on a net.Pipe that
+// stops reading still fails the write, ending the writer, within
+// WriteTimeout.
+func TestWedgedNeighborFailsWriteWithinTimeout(t *testing.T) {
+	const timeout, slack = 200 * time.Millisecond, 150 * time.Millisecond
+	b, err := New(Config{ID: 1, Listen: "127.0.0.1:0", Neighbors: map[int]string{0: "127.0.0.1:1"}, WriteTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	local, remote := net.Pipe()
+	defer remote.Close()
+	nc := b.neighbor(0)
+	nc.attach(b, local) // the higher ID never dials; the link is this pipe
+	nc.mu.Lock()
+	w := nc.w
+	nc.mu.Unlock()
+
+	var reading atomic.Bool
+	reading.Store(true)
+	readerDone := make(chan time.Time, 1)
+	go func() {
+		buf := make([]byte, 4096)
+		for reading.Load() {
+			if _, err := remote.Read(buf); err != nil {
+				break
+			}
+		}
+		readerDone <- time.Now()
+	}()
+	stopSending := make(chan struct{})
+	defer close(stopSending)
+	go func() {
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for token := uint64(1); ; token++ {
+			select {
+			case <-stopSending:
+				return
+			case <-tick.C:
+			}
+			if w.send(&wire.Probe{Token: token}) == errNotConnected {
+				return
+			}
+		}
+	}()
+
+	select {
+	case <-w.stop:
+		t.Fatalf("the writer quit while its peer was still reading (WriteTimeout %v)", timeout)
+	case <-time.After(3 * timeout):
+	}
+	reading.Store(false)
+	stoppedAt := <-readerDone
+	select {
+	case <-w.stop:
+		if took := time.Since(stoppedAt); took > timeout+slack {
+			t.Errorf("the writer took %v to fail a wedged write, WriteTimeout %v", took, timeout)
+		}
+	case <-time.After(5 * timeout):
+		t.Fatalf("the writer still blocks %v after its peer stopped reading (WriteTimeout %v)", 5*timeout, timeout)
+	}
+}
+
 func TestBrokerCloseIdempotent(t *testing.T) {
 	o := newOverlay(t, 1, nil)
 	if err := o.brokers[0].Close(); err != nil {

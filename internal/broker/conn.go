@@ -167,6 +167,7 @@ func (b *Broker) runWriter(w *connWriter, label string, nc *neighborConn, onExit
 		batchBytes int            // their payload bytes, counted against maxFlushBytes
 		release    []wire.Message // messages to release after encode
 		ackIDs     []uint64       // coalesced-ACK drain scratch
+		deadline   time.Time      // the conn's write deadline
 	)
 	flushBatch := func() {
 		if len(batch.Frames) == 0 {
@@ -230,8 +231,13 @@ func (b *Broker) runWriter(w *connWriter, label string, nc *neighborConn, onExit
 		}
 		// Bound the flush: a peer that stops reading (stalled TCP window)
 		// must surface as a write error so the connection is dropped and
-		// redialed, not wedge this writer forever.
-		_ = w.conn.SetWriteDeadline(time.Now().Add(b.cfg.WriteTimeout))
+		// redialed, not wedge this writer forever. The deadline is moved
+		// only once half spent (on a net.Pipe every move allocates a
+		// timer), so a wedged write still fails within WriteTimeout.
+		if now := time.Now(); deadline.Sub(now) < b.cfg.WriteTimeout/2 {
+			deadline = now.Add(b.cfg.WriteTimeout)
+			_ = w.conn.SetWriteDeadline(deadline)
+		}
 		if _, err := w.conn.Write(buf); err != nil {
 			if !b.stopping() {
 				b.logf("%s write: %v", label, err)
@@ -796,6 +802,7 @@ func (b *Broker) handleClientConn(name string, conn net.Conn, rd *wire.Reader) {
 		c.w.shutdown()
 		_ = conn.Close()
 	}()
+	var walDests []int32
 	for {
 		msg, err := rd.Next()
 		if err != nil {
@@ -809,7 +816,7 @@ func (b *Broker) handleClientConn(name string, conn net.Conn, rd *wire.Reader) {
 		case *wire.SessionUnsub:
 			b.sessionUnsub(c, m)
 		case *wire.Publish:
-			b.publishLocal(m)
+			b.publishLocal(m, &walDests)
 		case *wire.StatsRequest:
 			_ = c.send(b.statsReply(m.Token))
 		default:

@@ -89,8 +89,9 @@ type queuedDeliver struct {
 
 // publishLocal accepts a publish from a connected client: hand one copy per
 // known subscriber broker to the owning shard's engine, then deliver to
-// local subscribers.
-func (b *Broker) publishLocal(m *wire.Publish) {
+// local subscribers. walDests is the calling read loop's scratch for the
+// origin custody record's destination list.
+func (b *Broker) publishLocal(m *wire.Publish, walDests *[]int32) {
 	if b.stopping() {
 		return
 	}
@@ -138,11 +139,13 @@ func (b *Broker) publishLocal(m *wire.Publish) {
 			Source:      int32(b.cfg.ID),
 			PublishedAt: now,
 			Deadline:    deadline,
+			Dests:       (*walDests)[:0],
 			Payload:     body.buf,
 		}
 		for _, dest := range it.dests {
 			d.Dests = append(d.Dests, int32(dest))
 		}
+		*walDests = d.Dests
 		b.wal.AppendCustody(&d, -1)
 	}
 	b.shardOf(pid).enqueue(it)

@@ -249,15 +249,21 @@ func TestMuxDeliverPooledDeliveryAllocs(t *testing.T) {
 // clients' included. Each is about 10 % over what GOMAXPROCS 2 and 8 measure.
 const (
 	// relayAllocCeiling is for the plain clients of
-	// TestRelayChainAllocBudget: 1.12–1.19 measured at GOMAXPROCS 2 and
-	// 1.19–1.57 at 8 (9.1–9.4 while plain clients spoke a per-subscriber
-	// protocol through a compat decoder and pipe links a per-packet framing,
-	// 15.2–15.5 while the brokers still copied, boxed and wrapped the payload
-	// per hop, 22.7–23.1 before the shards kept their own ACK deadlines).
-	relayAllocCeiling = 1.75
+	// TestRelayChainAllocBudget: 1.02–1.15 measured at GOMAXPROCS 2 and
+	// 1.04–1.25 at 8 (1.12–1.19 and 1.19–1.57 while the writers moved the
+	// pipe links' write deadline on every flush, 9.1–9.4 while plain clients
+	// spoke a per-subscriber protocol through a compat decoder and pipe links
+	// a per-packet framing, 15.2–15.5 while the brokers still copied, boxed
+	// and wrapped the payload per hop, 22.7–23.1 before the shards kept their
+	// own ACK deadlines).
+	relayAllocCeiling = 1.4
 	// sessionAllocCeiling is for the benchmark's shape, where nothing the
 	// clients do allocates: what is left belongs to the brokers.
 	sessionAllocCeiling = 0.5
+	// durableAllocCeiling is for the same shape with a WAL per broker
+	// (16.5 while each custody record brought its own entry, record copy and
+	// destination lists).
+	durableAllocCeiling = 1.0
 )
 
 // chainAllocsPerPacket pushes packets publishes through a chain, at most
@@ -330,8 +336,8 @@ func TestRelayChainAllocBudget(t *testing.T) {
 	t.Logf("%.2f heap objects per delivered packet (ceiling %.2f)", perPkt, relayAllocCeiling)
 	if perPkt > relayAllocCeiling {
 		t.Errorf("%.2f heap objects per delivered packet, ceiling %.2f. What is left is the subscriber "+
-			"client's copy of each payload (1) and writer-flush deadlines on the pipe links (0.1–0.6); "+
-			"nothing else should allocate. A Publish message built per call costs 1, a payload copied or "+
+			"client's copy of each payload (1) and a pipe link's write deadline, moved once per half "+
+			"WriteTimeout; nothing else should allocate. A Publish message built per call costs 1, a payload copied or "+
 			"boxed per broker again 2 per hop, an ACK timer that is a runtime timer 3 per hop",
 			perPkt, relayAllocCeiling)
 	}
@@ -342,13 +348,49 @@ func TestRelayChainAllocBudget(t *testing.T) {
 // and written as bytes — so that no client allocates and the count is the
 // brokers' own: a relayed packet allocates nothing.
 func TestRelayChainSessionAllocBudget(t *testing.T) {
+	perPkt := sessionChainAllocsPerPacket(t, nil)
+	t.Logf("%.2f heap objects per delivered packet (ceiling %.1f)", perPkt, sessionAllocCeiling)
+	if perPkt > sessionAllocCeiling {
+		t.Errorf("%.2f heap objects per delivered packet, ceiling %.1f. Nothing on this path should allocate "+
+			"per packet: payloads, mailbox items, DATA and MuxDeliver messages, works, flights, frames and ACK "+
+			"deadlines are all pooled; what is measured is writer-flush deadlines and pools still growing",
+			perPkt, sessionAllocCeiling)
+	}
+}
+
+// TestRelayChainDurableAllocBudget is the session chain with a WAL per
+// broker (Config.DataDir), the benchmark's relay_durable shape: every
+// custody record on every broker, its clears and the subscriber broker's
+// deliveries are journaled, and ACKs wait for the group commit's fsync.
+func TestRelayChainDurableAllocBudget(t *testing.T) {
+	perPkt := sessionChainAllocsPerPacket(t, func(_ int, cfg *Config) { cfg.DataDir = t.TempDir() })
+	t.Logf("%.2f heap objects per delivered packet (ceiling %.1f)", perPkt, durableAllocCeiling)
+	if perPkt > durableAllocCeiling {
+		t.Errorf("%.2f heap objects per delivered packet, ceiling %.1f. A custody record lives in a reused "+
+			"slot of the WAL's slab and the group commit swaps two callback buffers; an entry, record copy or "+
+			"destination list allocated per record costs 3 per packet for each of them",
+			perPkt, durableAllocCeiling)
+	}
+}
+
+// sessionChainAllocsPerPacket measures chainAllocsPerPacket on the
+// benchmark-shaped chain: loopback TCP links, a raw publisher connection
+// writing one pre-encoded Publish, and a Session subscriber. tweak adjusts
+// each broker's config on top of a long ACK guard.
+func sessionChainAllocsPerPacket(t *testing.T, tweak func(int, *Config)) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a quarter of what is put back")
 	}
 	const topic, window = int32(1), 256
 	// Loopback TCP, where a write deadline is not the two objects it is on a
 	// net.Pipe.
-	brokers := newRelayChain(t, 3, func(_ int, cfg *Config) { cfg.AckGuard = 500 * time.Millisecond })
+	brokers := newRelayChain(t, 3, func(id int, cfg *Config) {
+		cfg.AckGuard = 500 * time.Millisecond
+		if tweak != nil {
+			tweak(id, cfg)
+		}
+	})
 	delivered := make(chan struct{}, window)
 	sub, err := DialSession(brokers[2].Addr(), "budget-session", 1, func(*wire.MuxDeliver) { delivered <- struct{}{} })
 	if err != nil {
@@ -376,14 +418,8 @@ func TestRelayChainSessionAllocBudget(t *testing.T) {
 		_, err := pub.Write(frame)
 		return err
 	}, delivered)
-	t.Logf("%.2f heap objects per delivered packet (ceiling %.1f)", perPkt, sessionAllocCeiling)
-	if perPkt > sessionAllocCeiling {
-		t.Errorf("%.2f heap objects per delivered packet, ceiling %.1f. Nothing on this path should allocate "+
-			"per packet: payloads, mailbox items, DATA and MuxDeliver messages, works, flights, frames and ACK "+
-			"deadlines are all pooled; what is measured is writer-flush deadlines and pools still growing",
-			perPkt, sessionAllocCeiling)
-	}
 	for _, bk := range brokers {
 		waitFor(t, 5*time.Second, "payloads released", func() bool { return bk.PayloadsLive() == 0 })
 	}
+	return perPkt
 }

@@ -471,26 +471,28 @@ func (c *chaosConn) classify(frame []byte) {
 // pump is the shared frame loop: read one frame from src, ask pick for the
 // decision stream (nil = forward clean), apply the verdict, write to dst.
 func (c *chaosConn) pump(src io.Reader, dst io.Writer, pick func(frame []byte) *direction) {
-	var head [4]byte
-	buf := make([]byte, 0, 4096)
+	// buf holds one whole frame, length header included, so forwarding it
+	// is one Write.
+	buf := make([]byte, 4, 4096)
 	for {
-		if _, err := io.ReadFull(src, head[:]); err != nil {
+		if _, err := io.ReadFull(src, buf[:4]); err != nil {
 			return
 		}
-		size := binary.BigEndian.Uint32(head[:])
+		size := binary.BigEndian.Uint32(buf)
 		if size == 0 || size > wire.MaxFrameSize {
 			return // stream is already broken; tear it down
 		}
-		if cap(buf) < int(size) {
-			buf = make([]byte, size)
+		if cap(buf) < 4+int(size) {
+			buf = append(make([]byte, 0, 4+int(size)), buf[:4]...)
 		}
-		frame := buf[:size]
+		buf = buf[:4+size]
+		frame := buf[4:]
 		if _, err := io.ReadFull(src, frame); err != nil {
 			return
 		}
 		dir := pick(frame)
 		if dir == nil || c.network.active.Load() == 0 {
-			if !writeFrame(dst, head, frame) {
+			if !writeFrame(dst, buf) {
 				return
 			}
 			continue
@@ -516,18 +518,18 @@ func (c *chaosConn) pump(src io.Reader, dst io.Writer, pick func(frame []byte) *
 		if v.corrupt {
 			c.network.framesCorrupt.Add(1)
 			frame[0] |= 0x80 // unknown type ⇒ peer rejects the stream
-			writeFrame(dst, head, frame)
+			writeFrame(dst, buf)
 			// The stream is now poisoned from the peer's point of view;
 			// finish the job so both sides converge on reconnect.
 			c.teardown()
 			return
 		}
-		if !writeFrame(dst, head, frame) {
+		if !writeFrame(dst, buf) {
 			return
 		}
 		if v.dup {
 			c.network.framesDuped.Add(1)
-			if !writeFrame(dst, head, frame) {
+			if !writeFrame(dst, buf) {
 				return
 			}
 		}
@@ -555,11 +557,9 @@ func sleepCtx(c *chaosConn, d time.Duration) {
 	}
 }
 
-// writeFrame writes header+frame as one frame; false means the stream died.
-func writeFrame(dst io.Writer, head [4]byte, frame []byte) bool {
-	if _, err := dst.Write(head[:]); err != nil {
-		return false
-	}
+// writeFrame writes one whole frame (header included) in one Write; false
+// means the stream died.
+func writeFrame(dst io.Writer, frame []byte) bool {
 	_, err := dst.Write(frame)
 	return err == nil
 }

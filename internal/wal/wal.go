@@ -64,6 +64,10 @@ const (
 	// incarnationBits is how many low bits of the incarnation counter the
 	// broker folds into the top of its frame/packet minting counters.
 	incarnationBits = 10
+	// maxKeptRec caps the record buffer a freed slot keeps for reuse (the
+	// connection writers' rule): one giant payload must not pin its memory.
+	maxKeptRec = 4 << 10
+	noSlot     = -1 // ends a slot chain: a packet's records, or the free list
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -128,10 +132,11 @@ type Recovered struct {
 	Delivered []uint64
 }
 
-// entry is the live-state view of one custody record.
+// entry is one slot of the custody slab: one custody record's live state. A
+// freed slot keeps its buffers, so the record reusing it allocates nothing.
 type entry struct {
 	frameID     uint64
-	pktID       uint64
+	next        int32   // next slot of the packet's chain, or of the free list
 	rec         []byte  // encoded record (CRC + frame), rewritten at checkpoint
 	outstanding []int32 // dests not yet cleared
 	cleared     []int32 // dests cleared (checkpoint emits these as one WAL_CLEAR)
@@ -161,10 +166,13 @@ type Log struct {
 	discard bool
 	broken  bool // an IO error voided durability; stop accepting work
 
-	// Live custody state, mutated under mu as records are appended.
-	live      map[uint64][]*entry // by packet ID
-	frames    *seen.Set           // custody frame IDs (dup suppression)
-	delivered *seen.Set           // locally delivered packet IDs
+	// Live custody state, mutated under mu: a slab of entries recycled through
+	// a free list, indexed by packet ID → first slot of its chain (log order).
+	live      map[uint64]int32
+	slots     []entry
+	free      int32     // first free slot, or noSlot
+	frames    *seen.Set // custody frame IDs (dup suppression)
+	delivered *seen.Set // locally delivered packet IDs
 	start     time.Time
 
 	f           *os.File
@@ -202,7 +210,8 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 	}
 	l := &Log{
 		cfg:       cfg,
-		live:      make(map[uint64][]*entry),
+		live:      make(map[uint64]int32),
+		free:      noSlot,
 		frames:    seen.New(cfg.Horizon),
 		delivered: seen.New(cfg.Horizon),
 		start:     time.Now(),
@@ -234,8 +243,8 @@ func Open(cfg Config) (*Log, *Recovered, error) {
 
 	rec := &Recovered{Incarnation: l.incarnation}
 	for _, pid := range sortedKeys(l.live) {
-		for _, e := range l.live[pid] {
-			rec.Flights = append(rec.Flights, e.flight(&rr))
+		for i := l.live[pid]; i != noSlot; i = l.slots[i].next {
+			rec.Flights = append(rec.Flights, l.slots[i].flight(&rr))
 		}
 	}
 	rec.Delivered = l.delivered.IDs()
@@ -375,33 +384,69 @@ func nextRecord(rr *records, buf []byte) (msg wire.Message, n int, ok bool) {
 // applyCustody inserts one custody record into the live state, suppressing
 // duplicates (retransmissions logged twice, or a checkpoint raced by a
 // crash leaving both the snapshot and the original segment on disk). m is
-// the recovery reader's, so the entry copies what it keeps.
+// the recovery reader's, so the slot copies what it keeps.
 func (l *Log) applyCustody(m *wire.WalCustody, recBytes []byte) {
 	if m.FrameID != 0 {
 		if l.frames.Seen(m.FrameID, l.now()) {
 			return
 		}
-	} else {
+	} else if head, ok := l.live[m.PacketID]; ok {
 		// Origin custody (no relay frame): at most one record per packet.
-		for _, e := range l.live[m.PacketID] {
-			if e.frameID == 0 {
+		for i := head; i != noSlot; i = l.slots[i].next {
+			if l.slots[i].frameID == 0 {
 				return
 			}
 		}
 	}
-	e := &entry{
-		frameID:     m.FrameID,
-		pktID:       m.PacketID,
-		rec:         append([]byte(nil), recBytes...),
-		outstanding: append([]int32(nil), m.Dests...),
-	}
+	i := l.newSlot(m.FrameID, recBytes, m.Dests)
 	if l.delivered.Has(m.PacketID) {
-		e.clearDest(int32(l.cfg.NodeID))
+		l.slots[i].clearDest(int32(l.cfg.NodeID))
 	}
-	if len(e.outstanding) == 0 {
-		return // nothing left to replay
+	if len(l.slots[i].outstanding) == 0 {
+		l.freeSlot(i) // nothing left to replay
+		return
 	}
-	l.live[m.PacketID] = append(l.live[m.PacketID], e)
+	l.link(m.PacketID, i)
+}
+
+// newSlot copies one custody record and its dests into a free slot (the slab
+// grows only when none is free), on no chain yet: link or freeSlot it next.
+func (l *Log) newSlot(frameID uint64, rec []byte, dests []int32) int32 {
+	i := l.free
+	if i == noSlot {
+		i = int32(len(l.slots))
+		l.slots = append(l.slots, entry{next: noSlot})
+	}
+	e := &l.slots[i]
+	l.free = e.next
+	e.frameID, e.next = frameID, noSlot
+	e.rec = append(e.rec[:0], rec...)
+	e.outstanding = append(e.outstanding[:0], dests...)
+	e.cleared = e.cleared[:0]
+	return i
+}
+
+// link appends slot i to the end of pid's chain, keeping log order.
+func (l *Log) link(pid uint64, i int32) {
+	tail, ok := l.live[pid]
+	if !ok {
+		l.live[pid] = i
+		return
+	}
+	for l.slots[tail].next != noSlot {
+		tail = l.slots[tail].next
+	}
+	l.slots[tail].next = i
+}
+
+// freeSlot returns slot i to the free list, keeping its buffers unless the
+// record outgrew maxKeptRec.
+func (l *Log) freeSlot(i int32) {
+	e := &l.slots[i]
+	if cap(e.rec) > maxKeptRec {
+		e.rec = nil
+	}
+	e.next, l.free = l.free, i
 }
 
 // clearDest moves one destination from outstanding to cleared.
@@ -416,32 +461,31 @@ func (e *entry) clearDest(d int32) {
 	}
 }
 
-// applyClear settles destinations for a packet's custody entries; an empty
-// dests list settles everything.
+// applyClear settles destinations for a packet's custody entries, freeing
+// the slots left with nothing outstanding; an empty dests list settles
+// everything.
 func (l *Log) applyClear(pid uint64, dests []int32) {
-	entries := l.live[pid]
-	if entries == nil {
+	head, ok := l.live[pid]
+	if !ok {
 		return
 	}
-	if len(dests) == 0 {
-		delete(l.live, pid)
-		return
-	}
-	for _, d := range dests {
-		for _, e := range entries {
+	at := &head // the link pointing at slot i
+	for i := head; i != noSlot; i = *at {
+		e := &l.slots[i]
+		for _, d := range dests {
 			e.clearDest(d)
 		}
-	}
-	kept := entries[:0]
-	for _, e := range entries {
-		if len(e.outstanding) > 0 {
-			kept = append(kept, e)
+		if len(dests) > 0 && len(e.outstanding) > 0 {
+			at = &e.next
+			continue
 		}
+		*at = e.next
+		l.freeSlot(i)
 	}
-	if len(kept) == 0 {
+	if head == noSlot {
 		delete(l.live, pid)
 	} else {
-		l.live[pid] = kept
+		l.live[pid] = head
 	}
 }
 
@@ -471,13 +515,7 @@ func (l *Log) AppendCustody(d *wire.Data, from int) {
 		l.custodyMsg.Data = *d
 		l.appendRecordLocked(&l.custodyMsg)
 		l.custodyMsg.Data = wire.Data{}
-		e := &entry{
-			frameID:     d.FrameID,
-			pktID:       d.PacketID,
-			rec:         append([]byte(nil), l.pending[base:]...),
-			outstanding: append([]int32(nil), d.Dests...),
-		}
-		l.live[d.PacketID] = append(l.live[d.PacketID], e)
+		l.link(d.PacketID, l.newSlot(d.FrameID, l.pending[base:], d.Dests))
 	}
 	if from >= 0 && l.cfg.OnDurable != nil {
 		l.cbs = append(l.cbs, durableCB{frameID: d.FrameID, from: from})
@@ -565,21 +603,25 @@ func (l *Log) waitSpaceLocked() {
 }
 
 // committer is the group-commit goroutine: one write+fsync per kick batch.
+// The callback list it fires and the one appenders fill are two buffers
+// swapped per flush, so neither is reallocated.
 func (l *Log) committer() {
 	defer close(l.done)
+	var spare []durableCB
 	for range l.kick {
-		l.flushOnce()
+		spare = l.flushOnce(spare)
 	}
 }
 
 // flushOnce writes and fsyncs everything pending, fires the durability
-// callbacks, and rotates the segment when it is over budget.
-func (l *Log) flushOnce() {
+// callbacks, and rotates the segment when it is over budget. spare becomes
+// the appenders' next callback list; the returned buffer is the next spare.
+func (l *Log) flushOnce(spare []durableCB) []durableCB {
 	l.mu.Lock()
 	work := len(l.pending) > 0 || len(l.cbs) > 0
 	l.mu.Unlock()
 	if !work {
-		return
+		return spare
 	}
 	if l.cfg.BeforeFlush != nil {
 		l.cfg.BeforeFlush()
@@ -594,25 +636,25 @@ func (l *Log) flushOnce() {
 		l.cbs = l.cbs[:0]
 		l.space.Broadcast()
 		l.mu.Unlock()
-		return
+		return spare
 	}
-	var cbs []durableCB
 	if len(l.pending) > 0 {
 		if err := l.writeBatchLocked(l.pending); err != nil {
 			l.failLocked(err)
 			l.mu.Unlock()
-			return
+			return spare
 		}
 		l.pending = l.pending[:0]
 	}
-	cbs, l.cbs = l.cbs, nil
+	cbs := l.cbs
+	l.cbs = spare[:0]
 	l.space.Broadcast()
 	if l.segBytes >= l.cfg.SegmentBytes {
 		if err := l.checkpointLocked(nil); err != nil {
 			// The batch itself was fsynced, but a log that cannot rotate is
 			// voided — withhold the ACKs rather than promise on a dying disk.
 			l.failLocked(err)
-			cbs = nil
+			cbs = cbs[:0]
 		} else {
 			l.checkpoints.Add(1)
 		}
@@ -622,6 +664,7 @@ func (l *Log) flushOnce() {
 	for _, cb := range cbs {
 		l.cfg.OnDurable(cb.frameID, cb.from)
 	}
+	return cbs[:0]
 }
 
 // writeBatchLocked appends one batch to the live segment and fsyncs it.
@@ -656,7 +699,8 @@ func (l *Log) failLocked(err error) {
 func (l *Log) checkpointLocked(oldSeqs []uint64) error {
 	buf := appendRecord(nil, &wire.WalMeta{Incarnation: l.incarnation})
 	for _, pid := range sortedKeys(l.live) {
-		for _, e := range l.live[pid] {
+		for i := l.live[pid]; i != noSlot; i = l.slots[i].next {
+			e := &l.slots[i]
 			buf = append(buf, e.rec...)
 			if len(e.cleared) > 0 {
 				buf = appendRecord(buf, &wire.WalClear{PacketID: pid, Dests: e.cleared})
@@ -693,12 +737,15 @@ func (l *Log) checkpointLocked(oldSeqs []uint64) error {
 		old.Close()
 		oldSeqs = append(oldSeqs, oldSeq)
 	}
+	removed := false
 	for _, seq := range oldSeqs {
-		if seq != newSeq {
-			os.Remove(segPath(l.cfg.Dir, seq))
+		if seq != newSeq && os.Remove(segPath(l.cfg.Dir, seq)) == nil {
+			removed = true
 		}
 	}
-	syncDir(l.cfg.Dir)
+	if removed { // a fresh Open removes nothing and skips this second sync
+		syncDir(l.cfg.Dir)
+	}
 	return nil
 }
 
@@ -742,12 +789,11 @@ func (l *Log) Close() error {
 	var err error
 	if !l.discard && !l.broken {
 		if len(l.pending) > 0 {
-			if err = l.writeBatchLocked(l.pending); err == nil {
-				l.pending = l.pending[:0]
-				cbs, l.cbs = l.cbs, nil
-			}
-		} else {
-			cbs, l.cbs = l.cbs, nil
+			err = l.writeBatchLocked(l.pending)
+		}
+		if err == nil {
+			l.pending = l.pending[:0]
+			cbs = l.cbs // closed: no appender adds to it any more
 		}
 	}
 	if l.f != nil {
