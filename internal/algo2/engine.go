@@ -95,8 +95,8 @@ const (
 	// DropLifetime: the packet exceeded MaxLifetime (at dispatch or when an
 	// in-flight group's ACK timer fired past the horizon).
 	DropLifetime DropReason = iota + 1
-	// DropExhausted: the origin exhausted its sending list with no upstream
-	// to bounce to and persistency is off.
+	// DropExhausted: a node exhausted its sending list with nowhere to
+	// bounce: the origin with persistency off, or any node under NoReroute.
 	DropExhausted
 )
 
@@ -169,6 +169,10 @@ type Config struct {
 	// exhausts every neighbor holds the packet and retries from scratch at
 	// Deps.NextRetryAt instead of dropping, until MaxLifetime.
 	Persistent bool
+	// NoReroute drops what an exhausted sending list leaves at every node
+	// instead of bouncing it upstream: the paper's fixed-route baselines
+	// (§IV-B), which have no path to retreat along.
+	NoReroute bool
 	// Tracer, when non-nil, receives the per-packet routing timeline.
 	Tracer trace.Recorder
 }
@@ -635,7 +639,7 @@ func reprocessWork[T any](a any) {
 // destination is assigned to the first eligible sending-list neighbor,
 // destinations sharing a next hop are grouped into one frame, and
 // destinations whose list is exhausted are rerouted to the upstream node
-// (or dropped at the origin).
+// (or dropped at the origin, and everywhere under NoReroute).
 func (e *Engine[T]) process(w *work[T]) {
 	now := e.deps.Now()
 	slices.Sort(w.pending)
@@ -690,8 +694,8 @@ func (e *Engine[T]) process(w *work[T]) {
 	if len(exhausted) == 0 {
 		return
 	}
-	if w.upstream < 0 {
-		if e.cfg.Persistent {
+	if w.upstream < 0 || e.cfg.NoReroute {
+		if w.upstream < 0 && e.cfg.Persistent {
 			e.record(trace.Hold, w.pkt.ID, e.id, -1, exhausted, "persistency: retry next epoch")
 			// Persistency mode (§III): hold the packet at the origin and
 			// resend once network conditions can have changed, with a
@@ -708,7 +712,7 @@ func (e *Engine[T]) process(w *work[T]) {
 			e.scheduleReprocess(retry, wait)
 			return
 		}
-		// The origin exhausted every neighbor: no usable path now.
+		// No usable path now, and nowhere to bounce to.
 		for _, dest := range exhausted {
 			w.removePending(dest)
 		}

@@ -290,3 +290,58 @@ func TestPayloadReferences(t *testing.T) {
 		t.Fatalf("pool leak: works=%d flights=%d frames=%d", w, f, fr)
 	}
 }
+
+// reasonDeps records the reason of every Drop.
+type reasonDeps struct {
+	*armingDeps
+	reasons []DropReason
+}
+
+func (d *reasonDeps) Drop(pkt *Packet, dests []int, reason DropReason) {
+	d.testDeps.Drop(pkt, dests, reason)
+	d.reasons = append(d.reasons, reason)
+}
+
+// TestNoRerouteDropsAtRelay pins Config.NoReroute: a relay whose one-entry
+// sending list is exhausted drops the destination as DropExhausted and sends
+// nothing to its upstream, while the zero value bounces the same copy
+// upstream exactly as Algorithm 2 does.
+func TestNoRerouteDropsAtRelay(t *testing.T) {
+	for _, noReroute := range []bool{true, false} {
+		var timers []*testTimer
+		deps := &testDeps{list: []int{2}}
+		shim := &reasonDeps{armingDeps: &armingDeps{testDeps: deps, armed: &timers}}
+		pools := NewPools[*testTimer](8)
+		eng := NewEngine[*testTimer](Config{NodeID: 1, M: 2, MaxLifetime: time.Hour, NoReroute: noReroute}, shim, pools)
+		eng.HandleData(Inbound{
+			FrameID: 99, From: 0,
+			Pkt:   Packet{ID: 1, Topic: 7, Source: 0},
+			Dests: []int{4}, Path: []int{0},
+		})
+		for range 2 { // m = 2 attempts to neighbor 2, neither ACKed
+			tm := timers[len(timers)-1]
+			timers = timers[:len(timers)-1]
+			tm.fn(tm.arg)
+		}
+		if noReroute {
+			if deps.sends != 2 || deps.lastTo != 2 {
+				t.Fatalf("NoReroute: sends=%d last to=%d, want 2 to neighbor 2 and none upstream", deps.sends, deps.lastTo)
+			}
+			if len(shim.reasons) != 1 || shim.reasons[0] != DropExhausted || deps.drops != 1 {
+				t.Fatalf("NoReroute: drops=%d reasons=%v, want one DropExhausted", deps.drops, shim.reasons)
+			}
+			if eng.InflightCount() != 0 {
+				t.Fatalf("NoReroute: %d groups still in flight", eng.InflightCount())
+			}
+		} else {
+			if deps.sends != 3 || deps.lastTo != 0 || deps.drops != 0 {
+				t.Fatalf("reroute: sends=%d to=%d drops=%d, want a third send to upstream 0 and no drop",
+					deps.sends, deps.lastTo, deps.drops)
+			}
+			eng.HandleAck(deps.lastFrame)
+		}
+		if w, f, fr := pools.Live(); w != 0 || f != 0 || fr != 0 {
+			t.Fatalf("NoReroute=%v: pool leak: works=%d flights=%d frames=%d", noReroute, w, f, fr)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package algo2
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -28,6 +29,9 @@ type fuzzDeps struct {
 	sends    int
 	delivers int
 	drops    int
+	// backSends counts frames sent to a node on their own path: only an
+	// upstream reroute does that, since sending lists skip path nodes.
+	backSends int
 }
 
 func (d *fuzzDeps) Now() time.Duration { return d.now }
@@ -55,6 +59,9 @@ func (d *fuzzDeps) AckWait(k int) (time.Duration, bool) {
 func (d *fuzzDeps) Send(f *Frame) {
 	d.sends++
 	d.sent = append(d.sent, f.ID)
+	if slices.Contains(f.Path, f.To) {
+		d.backSends++
+	}
 }
 
 var fuzzLists = map[int][]int{
@@ -102,7 +109,8 @@ func (d *fuzzDeps) fireTimer(i int) {
 // set, shuts the engine down with everything still in flight — and checks
 // that nothing panicked, no frame was processed twice, and all pooled state
 // came back: pool round-trip counts return to zero, no flights leak, and
-// every payload is back to the one reference its creator holds.
+// every payload is back to the one reference its creator holds. Bit 4 sets
+// NoReroute, under which no frame may go back to the copy's upstream.
 func FuzzEngine(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x21, 0x30, 0x40})
 	f.Add([]byte{0x13, 0x13, 0x50, 0x51, 0x52, 0x31})
@@ -120,6 +128,12 @@ func FuzzEngine(f *testing.F) {
 	f.Add([]byte{0x04, 0x70, 0x72, 0x73, 0x74, 0x75, 0x00, 0x02, 0x50, 0x60, 0x51})
 	f.Add([]byte{0x0c, 0x70, 0x72, 0x73, 0x74, 0x75, 0x00, 0x02, 0x50, 0x60, 0x51})
 	f.Add([]byte{0x08, 0x02, 0x10, 0x14, 0x50, 0x18, 0x20})
+	// NoReroute: relayed copies exhaust their lists with every link down
+	// (drained, then shut down mid-flight), and timeouts exhaust them with
+	// links up.
+	f.Add([]byte{0x10, 0x72, 0x73, 0x74, 0x75, 0x10, 0x11, 0x14, 0x50, 0x51})
+	f.Add([]byte{0x18, 0x72, 0x73, 0x74, 0x10, 0x12, 0x13, 0x50, 0x60})
+	f.Add([]byte{0x15, 0x10, 0x50, 0x50, 0x51, 0x52, 0x11, 0x53, 0x54, 0x00, 0x55})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -133,6 +147,7 @@ func FuzzEngine(f *testing.F) {
 			AckGuard:    time.Millisecond,
 			MaxLifetime: 50 * time.Millisecond,
 			Persistent:  data[0]&4 != 0,
+			NoReroute:   data[0]&16 != 0,
 		}
 		eng := NewEngine[*fuzzTimer](cfg, deps, pools)
 
@@ -231,7 +246,14 @@ func FuzzEngine(f *testing.F) {
 			}
 		}
 
+		checkBack := func() {
+			t.Helper()
+			if cfg.NoReroute && deps.backSends != 0 {
+				t.Fatalf("NoReroute sent %d frame(s) back up their path", deps.backSends)
+			}
+		}
 		if data[0]&8 != 0 {
+			checkBack()
 			eng.Shutdown()
 			checkLive("after Shutdown with traffic in flight")
 			return
@@ -262,6 +284,7 @@ func FuzzEngine(f *testing.F) {
 		if n := eng.InflightCount(); n != 0 {
 			t.Fatalf("inflight leak after drain: %d groups", n)
 		}
+		checkBack()
 		checkLive("after drain")
 		eng.Shutdown()
 		checkLive("after drain and Shutdown")

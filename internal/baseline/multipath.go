@@ -3,21 +3,12 @@ package baseline
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/pubsub"
 	"repro/internal/topology"
 )
-
-// mpData is a source-routed multipath frame: one copy of the packet headed
-// to a single subscriber along an explicit route. Idx is the receiving
-// node's position in Route.
-type mpData struct {
-	Pkt   pubsub.Packet
-	Dest  int
-	Route topology.Path
-	Idx   int
-}
 
 // MultipathRouter implements the paper's multipath baseline (§IV-B.4):
 // "publishers send duplicate packets for every subscriber to increase the
@@ -25,23 +16,16 @@ type mpData struct {
 // path and another path selected from the top 5 shortest delay paths that
 // has the fewest overlapping links with the shortest delay path."
 //
-// Routes are fixed at setup; forwarding uses hop-by-hop ACKs with m
-// transmissions per link and drops the copy when a link stays failed.
+// Routes are fixed at setup. Each copy is its own single-destination publish
+// routed under key 2×topic + route index, whose sending list at a node is
+// that route's successor; a link that stays failed through m transmissions
+// drops the copy.
 type MultipathRouter struct {
-	net *netsim.Network
-	w   *pubsub.Workload
-	col *metrics.Collector
-	m   int
+	fixed *core.FixedRouter
+	w     *pubsub.Workload
 	// routes[topic][dest] holds one or two node paths from the publisher.
 	routes []map[int][]topology.Path
-	nodes  []*mpNode
-}
-
-type mpNode struct {
-	r      *MultipathRouter
-	id     int
-	sender *hopSender
-	seen   map[uint64]bool
+	dest   [1]int // Publish's destination list (the engine copies it)
 }
 
 // MultipathFanout is how many candidate shortest paths the second route is
@@ -51,18 +35,9 @@ const MultipathFanout = 5
 // NewMultipathRouter precomputes the two routes per (publisher, subscriber)
 // pair via Yen's k-shortest-paths and installs handlers on every node.
 func NewMultipathRouter(net *netsim.Network, w *pubsub.Workload, col *metrics.Collector, m int) (*MultipathRouter, error) {
-	if m < 1 {
-		m = 1
-	}
 	g := net.Graph()
-	r := &MultipathRouter{
-		net:    net,
-		w:      w,
-		col:    col,
-		m:      m,
-		routes: make([]map[int][]topology.Path, len(w.Topics())),
-		nodes:  make([]*mpNode, g.N()),
-	}
+	r := &MultipathRouter{w: w, routes: make([]map[int][]topology.Path, len(w.Topics()))}
+	lists := newSuccessors(g.N(), 2*len(w.Topics()))
 	for _, t := range w.Topics() {
 		r.routes[t.ID] = make(map[int][]topology.Path, len(t.Subscribers))
 		for _, s := range t.Subscribers {
@@ -75,19 +50,13 @@ func NewMultipathRouter(net *netsim.Network, w *pubsub.Workload, col *metrics.Co
 			if second := leastOverlapping(candidates); second != nil {
 				routes = append(routes, second)
 			}
+			for i, route := range routes {
+				lists.add(2*t.ID+i, route)
+			}
 			r.routes[t.ID][s.Node] = routes
 		}
 	}
-	for id := 0; id < g.N(); id++ {
-		mn := &mpNode{
-			r:      r,
-			id:     id,
-			sender: newHopSender(net, id),
-			seen:   make(map[uint64]bool),
-		}
-		r.nodes[id] = mn
-		net.SetHandler(id, mn.handleFrame)
-	}
+	r.fixed = core.NewFixedRouter(net, col, m, lists)
 	return r, nil
 }
 
@@ -118,50 +87,10 @@ func (r *MultipathRouter) Routes(topic, dest int) []topology.Path {
 
 // Publish sends one copy of the packet per (subscriber, route).
 func (r *MultipathRouter) Publish(pkt pubsub.Packet) {
-	node := r.nodes[pkt.Source]
-	now := r.net.Sim().Now()
 	for _, dest := range r.w.Destinations(pkt.Topic) {
-		if dest == pkt.Source {
-			r.col.Deliver(pkt.ID, dest, now)
-			continue
-		}
-		for _, route := range r.routes[pkt.Topic][dest] {
-			node.forwardAlong(pkt, dest, route, 0)
+		r.dest[0] = dest
+		for i := range r.routes[pkt.Topic][dest] {
+			r.fixed.Publish(pkt, int32(2*pkt.Topic+i), r.dest[:])
 		}
 	}
-}
-
-func (mn *mpNode) handleFrame(f netsim.Frame) {
-	if f.Kind == netsim.Control {
-		mn.sender.handleAck(f.Ack)
-		return
-	}
-	switch p := f.Payload.(type) {
-	case mpData:
-		sendAck(mn.r.net, mn.id, f)
-		if mn.seen[f.ID] {
-			return
-		}
-		mn.seen[f.ID] = true
-		if mn.id == p.Dest {
-			mn.r.col.Deliver(p.Pkt.ID, p.Dest, mn.r.net.Sim().Now())
-			return
-		}
-		mn.forwardAlong(p.Pkt, p.Dest, p.Route, p.Idx)
-	}
-}
-
-// forwardAlong sends the copy to the next node of its source route with the
-// m-transmission budget; a spent budget drops the copy (the other route's
-// copy may still succeed).
-func (mn *mpNode) forwardAlong(pkt pubsub.Packet, dest int, route topology.Path, idx int) {
-	if idx+1 >= len(route) {
-		mn.r.col.Drop(pkt.ID, dest)
-		return
-	}
-	next := route[idx+1]
-	payload := mpData{Pkt: pkt, Dest: dest, Route: route, Idx: idx + 1}
-	mn.sender.send(next, payload, mn.r.m, func() {
-		mn.r.col.Drop(pkt.ID, dest)
-	})
 }

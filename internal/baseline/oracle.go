@@ -3,6 +3,7 @@ package baseline
 import (
 	"time"
 
+	"repro/internal/des"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/pubsub"
@@ -36,7 +37,7 @@ type oracleNode struct {
 	r      *OracleRouter
 	id     int
 	sender *hopSender
-	seen   map[uint64]bool
+	frames *seen.Set // received frame IDs
 	gp     grouper
 }
 
@@ -58,8 +59,8 @@ func NewOracleRouter(net *netsim.Network, w *pubsub.Workload, col *metrics.Colle
 		on := &oracleNode{
 			r:      r,
 			id:     id,
-			sender: newHopSender(net, id),
-			seen:   make(map[uint64]bool),
+			sender: &hopSender{net: net, node: id, inflight: make(map[uint64]*hopFlight)},
+			frames: seen.New(seen.Horizon(lifetime)),
 		}
 		r.nodes[id] = on
 		net.SetHandler(id, on.handleFrame)
@@ -81,25 +82,28 @@ func (r *OracleRouter) Publish(pkt pubsub.Packet) {
 	node.process(pkt, remote)
 }
 
+// handleFrame resolves ACKs, and ACKs every data frame (duplicates too)
+// before processing the first copy of it.
 func (on *oracleNode) handleFrame(f netsim.Frame) {
 	if f.Kind == netsim.Control {
 		on.sender.handleAck(f.Ack)
 		return
 	}
-	switch p := f.Payload.(type) {
-	case oracleData:
-		sendAck(on.r.net, on.id, f)
-		if on.seen[f.ID] {
-			return
-		}
-		on.seen[f.ID] = true
-		now := on.r.net.Sim().Now()
-		local, remote := splitLocal(on.id, p.Dests)
-		for _, d := range local {
-			on.r.col.Deliver(p.Pkt.ID, d, now)
-		}
-		on.process(p.Pkt, remote)
+	p, ok := f.Payload.(oracleData)
+	if !ok {
+		return
 	}
+	net := on.r.net
+	_ = net.Send(netsim.Frame{ID: net.NextFrameID(), From: on.id, To: f.From, Kind: netsim.Control, Ack: f.ID})
+	now := net.Sim().Now()
+	if on.frames.Seen(f.ID, now) {
+		return
+	}
+	local, remote := splitLocal(on.id, p.Dests)
+	for _, d := range local {
+		on.r.col.Deliver(p.Pkt.ID, d, now)
+	}
+	on.process(p.Pkt, remote)
 }
 
 // process routes the destinations using a shortest-delay tree over links
@@ -130,11 +134,133 @@ func (on *oracleNode) process(pkt pubsub.Packet, dests []int) {
 	}
 	for gi, nh := range on.gp.hops {
 		group := append([]int(nil), on.gp.dests[gi]...)
-		payload := oracleData{Pkt: pkt, Dests: group}
-		// Budget 1: an ACK timeout means loss or a mid-flight failure; the
-		// oracle recomputes the route instead of blindly retransmitting.
-		on.sender.send(nh, payload, 1, func() {
+		on.sender.send(nh, oracleData{Pkt: pkt, Dests: group}, func() {
 			on.process(pkt, group)
 		})
 	}
+}
+
+// hopSender manages one node's unacknowledged transmissions: it sends a
+// frame once and arms an ACK timer at the link round trip; when the timer
+// fires first, the failure callback runs. The oracle never retransmits
+// blindly: a timeout means loss or a mid-flight failure, and it recomputes
+// the route instead. Flights are pooled and timers use the simulator's
+// closure-free AfterFunc.
+type hopSender struct {
+	net      *netsim.Network
+	node     int
+	inflight map[uint64]*hopFlight
+	free     []*hopFlight
+}
+
+type hopFlight struct {
+	h       *hopSender
+	frameID uint64
+	timer   des.EventID
+	onFail  func()
+}
+
+// ackGuard pads the round-trip ACK timeout, as the engine's default does.
+const ackGuard = time.Millisecond
+
+// send transmits payload to neighbor to; onFail runs if no ACK arrives.
+func (h *hopSender) send(to int, payload any, onFail func()) {
+	wait, ok := h.net.AckWait(h.node, to)
+	if !ok {
+		h.net.Sim().After(0, onFail)
+		return
+	}
+	var fl *hopFlight
+	if l := len(h.free); l > 0 {
+		fl = h.free[l-1]
+		h.free = h.free[:l-1]
+	} else {
+		fl = &hopFlight{h: h}
+	}
+	fl.frameID = h.net.NextFrameID()
+	fl.onFail = onFail
+	h.inflight[fl.frameID] = fl
+	_ = h.net.Send(netsim.Frame{ID: fl.frameID, From: h.node, To: to, Kind: netsim.Data, Payload: payload})
+	fl.timer = h.net.Sim().AfterFunc(wait+ackGuard, hopTimeoutFired, fl)
+}
+
+// hopTimeoutFired is the pooled ACK-timer callback; des never fires a
+// cancelled timer, so the flight is still in the air.
+func hopTimeoutFired(a any) {
+	fl := a.(*hopFlight)
+	onFail := fl.onFail
+	fl.h.release(fl)
+	onFail()
+}
+
+// handleAck resolves a pending flight; duplicate or stale ACKs are ignored.
+func (h *hopSender) handleAck(frameID uint64) {
+	if fl, ok := h.inflight[frameID]; ok {
+		fl.timer.Cancel()
+		h.release(fl)
+	}
+}
+
+// release forgets a resolved flight and recycles it.
+func (h *hopSender) release(fl *hopFlight) {
+	delete(h.inflight, fl.frameID)
+	fl.onFail = nil
+	h.free = append(h.free, fl)
+}
+
+// grouper buckets destinations by next hop into reusable scratch buffers,
+// separating those with no route. Groups come out in ascending next-hop
+// order. The buffers are valid until the next call; callers that retain a
+// group (e.g. in a frame payload) must copy it.
+type grouper struct {
+	hops       []int
+	dests      [][]int
+	unroutable []int
+}
+
+func (gp *grouper) group(dests []int, next func(dest int) int) {
+	gp.hops = gp.hops[:0]
+	gp.unroutable = gp.unroutable[:0]
+	for _, dest := range dests {
+		nh := next(dest)
+		if nh < 0 {
+			gp.unroutable = append(gp.unroutable, dest)
+			continue
+		}
+		gi := -1
+		for j, h := range gp.hops {
+			if h == nh {
+				gi = j
+				break
+			}
+		}
+		if gi < 0 {
+			gp.hops = append(gp.hops, nh)
+			gi = len(gp.hops) - 1
+			if len(gp.dests) <= gi {
+				gp.dests = append(gp.dests, nil)
+			}
+			gp.dests[gi] = gp.dests[gi][:0]
+		}
+		gp.dests[gi] = append(gp.dests[gi], dest)
+	}
+	for i := 1; i < len(gp.hops); i++ {
+		for j := i; j > 0 && gp.hops[j] < gp.hops[j-1]; j-- {
+			gp.hops[j], gp.hops[j-1] = gp.hops[j-1], gp.hops[j]
+			gp.dests[j], gp.dests[j-1] = gp.dests[j-1], gp.dests[j]
+		}
+	}
+}
+
+// splitLocal splits dests into those hosted at node (delivered
+// immediately) and the rest.
+func splitLocal(node int, dests []int) (local, remote []int) {
+	for _, d := range dests {
+		if d == node {
+			local = append(local, d)
+		} else {
+			remote = append(remote, d)
+		}
+	}
+	return local, remote
 }

@@ -1,8 +1,31 @@
+// Package baseline implements the four comparison approaches of the paper's
+// evaluation (§IV-B):
+//
+//   - R-Tree: a routing tree using the shortest-hop-count path between each
+//     publisher and subscriber (most reliable tree).
+//   - D-Tree: a routing tree using the shortest-delay path.
+//   - ORACLE: the performance upper bound — shortest-delay routing that
+//     avoids any link failed at transmission time, since the oracle knows
+//     the whole network's instantaneous condition.
+//   - Multipath: duplicate copies per subscriber over the shortest-delay
+//     path and the least-overlapping of the top-5 shortest-delay paths.
+//
+// All approaches use hop-by-hop ACKs with m transmissions per link (Fig. 8
+// varies m), but none of them — except ORACLE's per-hop recomputation —
+// reroutes around failures; that is precisely the gap DCRD fills.
+//
+// The trees and Multipath are therefore sending-list policies on DCRD's own
+// Algorithm-2 engines (core.FixedRouter): a one-entry list naming the
+// route's successor, and no upstream reroute, so a link that stays failed
+// through m transmissions drops the copy. ORACLE recomputes its route after
+// every timeout and keeps no failed set or path, which Algorithm 2 cannot
+// express, so it keeps its own forwarding.
 package baseline
 
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/pubsub"
@@ -34,11 +57,38 @@ func (k TreeKind) String() string {
 	}
 }
 
-// treeData is a tree-routed data frame: the packet plus the destinations
-// this copy still serves.
-type treeData struct {
-	Pkt   pubsub.Packet
-	Dests []int
+// successors is the sending-list policy of the fixed-route baselines:
+// next[key*n+dest][node] is node's successor toward dest under routing key
+// key, or -1 off the route.
+type successors struct {
+	n    int
+	next [][]int
+}
+
+func newSuccessors(n, keys int) *successors {
+	return &successors{n: n, next: make([][]int, keys*n)}
+}
+
+// add routes key's copies toward path's last node along path.
+func (s *successors) add(key int, path []int) {
+	succ := make([]int, s.n)
+	for i := range succ {
+		succ[i] = -1
+	}
+	for i := 0; i+1 < len(path); i++ {
+		succ[path[i]] = path[i+1]
+	}
+	s.next[key*s.n+path[len(path)-1]] = succ
+}
+
+// SendingList returns node's successor as a one-entry list sliced from the
+// table, so forwarding allocates nothing.
+func (s *successors) SendingList(node int, key int32, dest int) []int {
+	succ := s.next[int(key)*s.n+dest]
+	if succ == nil || succ[node] < 0 {
+		return nil
+	}
+	return succ[node : node+1]
 }
 
 // TreeRouter forwards packets along a fixed per-publisher routing tree with
@@ -47,43 +97,19 @@ type treeData struct {
 // destinations are dropped — exactly the weakness the paper attributes to
 // tree-based approaches.
 type TreeRouter struct {
-	net  *netsim.Network
-	w    *pubsub.Workload
-	col  *metrics.Collector
-	kind TreeKind
-	m    int
-	// next[topic][dest][node] is the successor toward dest (absent = none).
-	next  []map[int]map[int]int
-	nodes []*treeNode
-}
-
-type treeNode struct {
-	r      *TreeRouter
-	id     int
-	sender *hopSender
-	seen   map[uint64]bool
-	gp     grouper
+	fixed *core.FixedRouter
+	w     *pubsub.Workload
+	kind  TreeKind
 }
 
 // NewTreeRouter builds the per-topic routing trees and installs handlers on
-// every node. m is the per-link transmission budget (>=1).
+// every node. m is the number of transmissions per link (>=1).
 func NewTreeRouter(net *netsim.Network, w *pubsub.Workload, col *metrics.Collector, kind TreeKind, m int) (*TreeRouter, error) {
 	if kind != ReliableTree && kind != DelayTree {
 		return nil, fmt.Errorf("baseline: unknown tree kind %d", int(kind))
 	}
-	if m < 1 {
-		m = 1
-	}
 	g := net.Graph()
-	r := &TreeRouter{
-		net:   net,
-		w:     w,
-		col:   col,
-		kind:  kind,
-		m:     m,
-		next:  make([]map[int]map[int]int, len(w.Topics())),
-		nodes: make([]*treeNode, g.N()),
-	}
+	lists := newSuccessors(g.N(), len(w.Topics()))
 	for _, t := range w.Topics() {
 		var tree *topology.ShortestPathTree
 		switch kind {
@@ -92,94 +118,22 @@ func NewTreeRouter(net *netsim.Network, w *pubsub.Workload, col *metrics.Collect
 		case DelayTree:
 			tree = topology.Dijkstra(g, t.Publisher, nil)
 		}
-		r.next[t.ID] = make(map[int]map[int]int, len(t.Subscribers))
 		for _, s := range t.Subscribers {
 			path, err := tree.PathTo(s.Node)
 			if err != nil {
 				return nil, fmt.Errorf("baseline: %v tree for topic %d cannot reach %d: %w",
 					kind, t.ID, s.Node, err)
 			}
-			succ := make(map[int]int, len(path)-1)
-			for i := 0; i+1 < len(path); i++ {
-				succ[path[i]] = path[i+1]
-			}
-			r.next[t.ID][s.Node] = succ
+			lists.add(t.ID, path)
 		}
 	}
-	for id := 0; id < g.N(); id++ {
-		tn := &treeNode{
-			r:      r,
-			id:     id,
-			sender: newHopSender(net, id),
-			seen:   make(map[uint64]bool),
-		}
-		r.nodes[id] = tn
-		net.SetHandler(id, tn.handleFrame)
-	}
-	return r, nil
+	return &TreeRouter{fixed: core.NewFixedRouter(net, col, m, lists), w: w, kind: kind}, nil
 }
 
 // Name identifies the approach in experiment output.
 func (r *TreeRouter) Name() string { return r.kind.String() }
 
-// Publish injects a packet at its source broker.
+// Publish injects a packet at its source broker, routed by its topic.
 func (r *TreeRouter) Publish(pkt pubsub.Packet) {
-	node := r.nodes[pkt.Source]
-	local, remote := splitLocal(pkt.Source, r.w.Destinations(pkt.Topic))
-	now := r.net.Sim().Now()
-	for _, d := range local {
-		r.col.Deliver(pkt.ID, d, now)
-	}
-	node.forward(pkt, remote)
-}
-
-func (tn *treeNode) handleFrame(f netsim.Frame) {
-	if f.Kind == netsim.Control {
-		tn.sender.handleAck(f.Ack)
-		return
-	}
-	switch p := f.Payload.(type) {
-	case treeData:
-		sendAck(tn.r.net, tn.id, f)
-		if tn.seen[f.ID] {
-			return
-		}
-		tn.seen[f.ID] = true
-		now := tn.r.net.Sim().Now()
-		local, remote := splitLocal(tn.id, p.Dests)
-		for _, d := range local {
-			tn.r.col.Deliver(p.Pkt.ID, d, now)
-		}
-		tn.forward(p.Pkt, remote)
-	}
-}
-
-// forward groups destinations by tree successor and sends one frame per
-// group with the m-transmission budget; exhausted budgets drop the group.
-func (tn *treeNode) forward(pkt pubsub.Packet, dests []int) {
-	if len(dests) == 0 {
-		return
-	}
-	tn.gp.group(dests, func(dest int) int {
-		succ, ok := tn.r.next[pkt.Topic][dest]
-		if !ok {
-			return -1
-		}
-		nh, ok := succ[tn.id]
-		if !ok {
-			return -1
-		}
-		return nh
-	})
-	for _, dest := range tn.gp.unroutable {
-		tn.r.col.Drop(pkt.ID, dest)
-	}
-	for gi, nh := range tn.gp.hops {
-		payload := treeData{Pkt: pkt, Dests: append([]int(nil), tn.gp.dests[gi]...)}
-		tn.sender.send(nh, payload, tn.r.m, func() {
-			for _, dest := range payload.Dests {
-				tn.r.col.Drop(pkt.ID, dest)
-			}
-		})
-	}
+	r.fixed.Publish(pkt, int32(pkt.Topic), r.w.Destinations(pkt.Topic))
 }

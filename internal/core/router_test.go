@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/algo2"
 	"repro/internal/des"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -313,5 +315,54 @@ func TestRouterOptionsDefaults(t *testing.T) {
 	o = RouterOptions{M: 3}.withDefaults()
 	if o.Build.M != 3 {
 		t.Errorf("Build.M should inherit M, got %d", o.Build.M)
+	}
+}
+
+// TestNetworkCopyOutlivesFlight pins the frame-ownership rule of the
+// simulator shell: a frame on the network belongs to its network copy, not
+// to the engine pool. On a 10 frames/s link the fifth and sixth of six
+// back-to-back packets queue past their ACK wait (alpha plus four slots), so
+// the origin times out, drops them and recycles their frames into two later
+// publishes — all before the queued frames arrive. Each arrival must still
+// carry the packet, destinations and path it was sent with.
+func TestNetworkCopyOutlivesFlight(t *testing.T) {
+	cfg := cleanConfig()
+	cfg.LinkBandwidth = 10
+	env := newEnv(t, lineGraph(t, 10*time.Millisecond), cfg, 0, []int{1}, RouterOptions{})
+	type sent struct {
+		pkt         uint64
+		dests, path []int
+	}
+	onWire := map[uint64]sent{}
+	env.net.SetDropFilter(func(f netsim.Frame) bool {
+		if p, ok := f.Payload.(*algo2.Frame); ok {
+			onWire[f.ID] = sent{p.Pkt.ID, slices.Clone(p.Dests), slices.Clone(p.Path)}
+		}
+		return false
+	})
+	receive, late := env.r.shells[1].handleFrame, 0
+	env.net.SetHandler(1, func(f netsim.Frame) {
+		if p, ok := f.Payload.(*algo2.Frame); ok {
+			if _, _, live := env.r.shells[0].eng.InflightDests(f.ID); !live {
+				late++
+			}
+			want := onWire[f.ID]
+			if p.Pkt.ID != want.pkt || !slices.Equal(p.Dests, want.dests) || !slices.Equal(p.Path, want.path) {
+				t.Errorf("frame %d arrived as packet %d dests %v path %v, sent as packet %d dests %v path %v",
+					f.ID, p.Pkt.ID, p.Dests, p.Path, want.pkt, want.dests, want.path)
+			}
+		}
+		receive(f)
+	})
+	for id := uint64(1); id <= 6; id++ {
+		env.publish(id)
+	}
+	env.sim.At(450*time.Millisecond, func() {
+		env.publish(7)
+		env.publish(8)
+	})
+	env.sim.Run()
+	if late != 2 {
+		t.Fatalf("%d frames arrived after their flight resolved, want 2 (the scenario no longer exercises reuse)", late)
 	}
 }

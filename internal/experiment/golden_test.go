@@ -14,7 +14,9 @@ type goldenScenario struct {
 
 // goldenScenarios covers the simulator's behavioral surface with small runs:
 // the default mesh, a denser mesh, persistency mode under heavy failures,
-// bursty (Gilbert–Elliott) failures, and round-trip ACK timing.
+// bursty (Gilbert–Elliott) failures, round-trip ACK timing, congested links
+// whose transmit queues outlast the ACK wait (the congestion extension's
+// 25 frames/s point), and two transmissions per link under heavy loss.
 func goldenScenarios() []goldenScenario {
 	base := DefaultScenario()
 	base.Duration = 5 * time.Second
@@ -39,12 +41,26 @@ func goldenScenarios() []goldenScenario {
 	rtt := base
 	rtt.RoundTripAcks = true
 
+	congested := base
+	congested.Degree = 5
+	congested.Pf = 0
+	congested.PublishInterval = 100 * time.Millisecond
+	congested.QueueCapacity = 32
+	congested.LinkBandwidth = 25
+	congested.MaxLifetime = 2 * time.Second
+
+	m2 := base
+	m2.M = 2
+	m2.Pl = 0.05
+
 	return []goldenScenario{
 		{"mesh", mesh},
 		{"deg5", deg5},
 		{"persistent", persistent},
 		{"burst", burst},
 		{"rtt", rtt},
+		{"congested", congested},
+		{"m2", m2},
 	}
 }
 
@@ -99,6 +115,24 @@ var goldenWant = map[string]map[string]goldenScalars{
 		"D-Tree":    {310, 273, 273, 371, 37, 50},
 		"ORACLE":    {310, 310, 310, 388, 0, 50},
 		"Multipath": {310, 306, 306, 989, 81, 50},
+	},
+	// The baseline rows predate running the trees and Multipath on the
+	// Algorithm-2 engines. DCRD's row postdates the shell giving netsim its
+	// own frame copies: before that, a frame still queued when its flight
+	// resolved was recycled under the network, and this run livelocked.
+	"congested": {
+		"DCRD":      {4600, 2645, 309, 27743, 15369, 500},
+		"R-Tree":    {4600, 4483, 1815, 5925, 2115, 500},
+		"D-Tree":    {4600, 4101, 1283, 5547, 2856, 500},
+		"ORACLE":    {4600, 3081, 1314, 20625, 3820, 500},
+		"Multipath": {4600, 2911, 174, 14420, 11246, 500},
+	},
+	"m2": {
+		"DCRD":      {310, 310, 292, 530, 0, 50},
+		"R-Tree":    {310, 281, 280, 369, 30, 50},
+		"D-Tree":    {310, 272, 272, 436, 41, 50},
+		"ORACLE":    {310, 310, 310, 445, 0, 50},
+		"Multipath": {310, 306, 306, 1157, 97, 50},
 	},
 }
 

@@ -191,6 +191,11 @@ type Stats struct {
 	Delivered uint64
 }
 
+// Dropped counts frames lost to any cause.
+func (s Stats) Dropped() uint64 {
+	return s.DroppedFailure + s.DroppedLoss + s.DroppedQueue + s.DroppedFiltered
+}
+
 // LinkEstimate is what monitoring reports to nodes about one link: the
 // expected single-transmission delay alpha and the long-run
 // single-transmission delivery ratio gamma of the paper's Eq. (1) inputs.
