@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/experiment"
@@ -33,11 +34,17 @@ func main() {
 	}
 }
 
+// extensionHelp is the -extension flag's usage: every extension experiment
+// the harness registers.
+func extensionHelp() string {
+	return "extension experiment: " + strings.Join(experiment.ExtensionNames(), " | ")
+}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("dcrdsim", flag.ContinueOnError)
 	var (
 		figure     = fs.Int("figure", 0, "paper figure to regenerate (2-8); 0 runs a custom scenario")
-		extension  = fs.String("extension", "", "extension experiment: ordering | nodefail | persistency | congestion")
+		extension  = fs.String("extension", "", extensionHelp())
 		full       = fs.Bool("full", false, "use the paper's full scale (2h x 10 topologies)")
 		duration   = fs.Duration("duration", time.Minute, "simulated publishing time per run")
 		topologies = fs.Int("topologies", 2, "random topologies to average over")

@@ -3,7 +3,23 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/experiment"
 )
+
+// TestExtensionHelpListsEveryExtension keeps the -extension usage in step
+// with the registered extension experiments.
+func TestExtensionHelpListsEveryExtension(t *testing.T) {
+	help := extensionHelp()
+	for _, name := range experiment.ExtensionNames() {
+		if !strings.Contains(help, name) {
+			t.Errorf("-extension help %q does not name %q", help, name)
+		}
+		if _, ok := experiment.Extensions()[name]; !ok {
+			t.Errorf("extension %q is listed but not runnable", name)
+		}
+	}
+}
 
 func TestRunCustomScenario(t *testing.T) {
 	var sb strings.Builder

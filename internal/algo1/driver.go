@@ -68,6 +68,14 @@ type Driver struct {
 	estVer uint64 // version the clean pairs' tables were built from
 	nDirty int
 
+	// snap, build and tables are the storage every Rebuild reuses: the
+	// epoch's link statistics, refilled in place, the fixpoint buffers every
+	// pair's build runs in, and the staging of new sending lists. Tables
+	// never alias any of them.
+	snap   Snapshot
+	build  builder
+	tables tableSet
+
 	// Rebuild outcome counters (diagnostics, exported via Stats).
 	epochs  uint64
 	noops   uint64
@@ -179,6 +187,13 @@ func (d *Driver) Stats() DriverStats {
 // estimate version with no dirty pair is a no-op reusing every prior table;
 // a changed version rebuilds every pair; otherwise only the dirty pairs are
 // rebuilt. Each build starts cold against one Snapshot shared by the call.
+//
+// A rebuilt pair whose result is Equal to its current table keeps that
+// table; otherwise it gets a new one sharing every unchanged slice of the
+// old. A table once returned is never written, so callers may keep reading
+// it (or slices of it) across later Rebuilds. Once the driver's storage has
+// grown to the graph, an epoch whose tables all come out equal allocates
+// nothing.
 func (d *Driver) Rebuild() bool {
 	d.epochs++
 	ver := d.deps.EstimateVersion()
@@ -189,7 +204,7 @@ func (d *Driver) Rebuild() bool {
 	}
 	d.estVer = ver
 	n := d.g.N()
-	snap := NewSnapshot(d.g, d.deps.LinkEstimate, d.opts.Build.M)
+	d.snap.fill(d.g, d.deps.LinkEstimate, d.opts.Build.M)
 	for _, key := range d.order {
 		p := d.pairs[key]
 		if len(p.budget) != n || p.sub < 0 || p.sub >= n {
@@ -201,13 +216,15 @@ func (d *Driver) Rebuild() bool {
 		if !all && !p.dirty {
 			continue
 		}
-		p.table = BuildFromSnapshot(d.g, snap, p.sub, p.budget, d.opts.Build)
+		d.build.run(d.g, &d.snap, p.sub, p.budget, d.opts.Build)
+		p.table = d.tables.add(&d.build, p.table, p.sub, p.budget)
 		d.rebuilt++
 		if p.dirty {
 			p.dirty = false
 			d.nDirty--
 		}
 	}
+	d.tables.commit()
 	return true
 }
 

@@ -581,7 +581,7 @@ func (b *Broker) statsReply(token uint64) *wire.StatsReply {
 	}
 	reply.Ctrl, reply.Links = b.ctrlStats()
 	reply.Wal = b.walStat()
-	reply.Routes = b.ctrlSnap.Load().routes
+	reply.Routes = b.ctrl.routeStats()
 
 	// Per-shard stats: a barrier run gives an on-shard view (mailbox depth
 	// plus the engine's in-flight group count); if the broker is shutting

@@ -166,7 +166,7 @@ func (b *Broker) runWriter(w *connWriter, label string, nc *neighborConn, onExit
 		batch      wire.DataBatch // consecutive DATA messages, not yet encoded
 		batchBytes int            // their payload bytes, counted against maxFlushBytes
 		release    []wire.Message // messages to release after encode
-		ackIDs     []uint64       // coalesced-ACK drain scratch
+		acks       wire.AckBatch  // coalesced-ACK drain, encoded in place
 		deadline   time.Time      // the conn's write deadline
 	)
 	flushBatch := func() {
@@ -216,8 +216,8 @@ func (b *Broker) runWriter(w *connWriter, label string, nc *neighborConn, onExit
 		}
 		flushBatch()
 		if nc != nil {
-			if ackIDs = nc.takeAcks(ackIDs); len(ackIDs) > 0 {
-				buf = b.appendAckBatch(buf, label, ackIDs)
+			if acks.FrameIDs = nc.takeAcks(acks.FrameIDs); len(acks.FrameIDs) > 0 {
+				buf = b.appendAckBatch(buf, label, &acks)
 			}
 		}
 		// Every batched entry is encoded (or dropped) by now.

@@ -29,7 +29,6 @@ package broker
 
 import (
 	"cmp"
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -57,18 +56,17 @@ const (
 	maxDataSamples = 32
 )
 
-// ctrlLink is one directed link estimate as gossip reported it.
-type ctrlLink struct {
-	alpha time.Duration
-	gamma float64
-}
-
-// ctrlOrigin is one broker's latest flooded record set: its links and its
-// membership (topic → deadline).
+// ctrlOrigin is one broker's latest flooded record set: its links (gamma >
+// 0) sorted by neighbor and its membership sorted by topic, at most one
+// record per neighbor and per topic. The database owns both slices and
+// rewrites them in place: each newer flood is filled into the spare pair and
+// swapped in.
 type ctrlOrigin struct {
-	epoch   uint64
-	links   map[int32]ctrlLink
-	members map[int32]time.Duration
+	epoch        uint64
+	links        []wire.LinkRecord
+	members      []wire.MemberRecord
+	spareLinks   []wire.LinkRecord
+	spareMembers []wire.MemberRecord
 }
 
 // linkStateDB is the gossip-fed monitoring substrate: each origin's latest
@@ -80,7 +78,7 @@ type ctrlOrigin struct {
 // they are harmless: reaching it requires a live inbound link, and its
 // neighbors withdraw those from their own record sets as soon as the TCP
 // connection drops. The same withdrawal retires its membership (see
-// members).
+// appendMembers).
 type linkStateDB struct {
 	mu      sync.Mutex
 	origins map[int32]*ctrlOrigin
@@ -88,16 +86,21 @@ type linkStateDB struct {
 	// topoVer advances when the link or node SET changes (not mere
 	// estimate drift) — the driver's graph must be rebuilt then.
 	topoVer uint64
+	// memberVer advances when some origin's membership changes.
+	memberVer uint64
+	// linked is appendMembers' scratch set.
+	linked map[int32]bool
 }
 
 func newLinkStateDB() *linkStateDB {
-	return &linkStateDB{origins: make(map[int32]*ctrlOrigin)}
+	return &linkStateDB{origins: make(map[int32]*ctrlOrigin), linked: make(map[int32]bool)}
 }
 
-// apply folds one flood into the database; ls must not be mutated
-// afterwards. newer reports whether the epoch advanced (the flood should be
-// re-flooded); changed whether any estimate or membership actually moved
-// (the control loop has work).
+// apply folds one flood into the database. It copies what it keeps, so ls
+// may be reused once it returns, and a stale flood is dropped before
+// anything is copied. newer reports whether the epoch advanced (the flood
+// should be re-flooded); changed whether any estimate or membership actually
+// moved (the control loop has work).
 func (db *linkStateDB) apply(ls *wire.LinkState) (newer, changed bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -110,25 +113,21 @@ func (db *linkStateDB) apply(ls *wire.LinkState) (newer, changed bool) {
 		db.origins[ls.Origin] = os
 	}
 	os.epoch = ls.Epoch
-	next := make(map[int32]ctrlLink, len(ls.Links))
+	next := os.spareLinks[:0]
 	for _, r := range ls.Links {
-		if r.Gamma <= 0 {
-			continue // an explicit withdrawal: simply absent from the new set
+		if r.Gamma > 0 { // an explicit withdrawal is simply absent from the new set
+			next = append(next, r)
 		}
-		next[r.To] = ctrlLink{alpha: r.Alpha, gamma: r.Gamma}
 	}
-	// The link set changed iff a link appeared or the count differs (then
-	// one vanished); an estimate moved iff that, or a surviving link differs.
+	next = sortedLastWins(next, func(r wire.LinkRecord) int32 { return r.To })
+	// The link set changed iff the neighbors differ; an estimate moved iff
+	// that, or a surviving link's record differs.
 	topo := len(next) != len(os.links)
-	for to, nl := range next {
-		ol, had := os.links[to]
-		if !had {
-			topo = true
-		} else if ol != nl {
-			changed = true
-		}
+	for i := 0; !topo && i < len(next); i++ {
+		topo = next[i].To != os.links[i].To
+		changed = changed || next[i] != os.links[i]
 	}
-	os.links = next
+	os.spareLinks, os.links = os.links, next
 	if topo {
 		db.topoVer++
 		changed = true
@@ -138,22 +137,36 @@ func (db *linkStateDB) apply(ls *wire.LinkState) (newer, changed bool) {
 	}
 	// Membership is not an estimate: it changes the pair set, not the
 	// version every pair's table is built from.
-	members := make(map[int32]time.Duration, len(ls.Members))
-	for _, m := range ls.Members {
-		members[m.Topic] = m.Deadline
-	}
-	if !maps.Equal(members, os.members) {
+	members := sortedLastWins(append(os.spareMembers[:0], ls.Members...),
+		func(m wire.MemberRecord) int32 { return m.Topic })
+	if !slices.Equal(members, os.members) {
+		db.memberVer++
 		changed = true
 	}
-	os.members = members
+	os.spareMembers, os.members = os.members, members
 	return true, changed
 }
 
-// topoVersion returns the current topology-change counter.
-func (db *linkStateDB) topoVersion() uint64 {
+// sortedLastWins sorts recs by key in place and keeps the last of each run
+// of equal keys, as a map filled in input order would.
+func sortedLastWins[T any](recs []T, key func(T) int32) []T {
+	slices.SortStableFunc(recs, func(a, b T) int { return cmp.Compare(key(a), key(b)) })
+	w := 0
+	for _, r := range recs {
+		if w > 0 && key(recs[w-1]) == key(r) {
+			w--
+		}
+		recs[w] = r
+		w++
+	}
+	return recs[:w]
+}
+
+// versions returns the topology and membership change counters.
+func (db *linkStateDB) versions() (topo, members uint64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.topoVer
+	return db.topoVer, db.memberVer
 }
 
 // buildGraph materializes the overlay graph the database currently
@@ -165,17 +178,17 @@ func (db *linkStateDB) buildGraph() *topology.Graph {
 	defer db.mu.Unlock()
 	maxID := -1
 	for o, os := range db.origins {
-		for to := range os.links {
-			maxID = max(maxID, int(o), int(to))
+		for _, l := range os.links {
+			maxID = max(maxID, int(o), int(l.To))
 		}
 	}
 	g := topology.NewGraph(maxID + 1)
 	for o, os := range db.origins {
-		for to, l := range os.links {
-			if o == to || g.HasLink(int(o), int(to)) {
+		for _, l := range os.links {
+			if o == l.To || g.HasLink(int(o), int(l.To)) {
 				continue
 			}
-			_ = g.AddLink(int(o), int(to), l.alpha)
+			_ = g.AddLink(int(o), int(l.To), l.Alpha)
 		}
 	}
 	return g
@@ -187,36 +200,37 @@ type member struct {
 	deadline time.Duration
 }
 
-// members lists the pairs the overlay currently subscribes, sorted. An
-// origin's membership counts only while some other origin floods a link to
-// it — the evidence buildGraph needs to route to it at all. A closed broker
-// cannot withdraw its own records, but its neighbors withdraw their links to
-// it, and with them it stops being a destination: its lingering topics must
-// not hold every Persistent publish for a full lifetime.
-func (db *linkStateDB) members() []member {
+// appendMembers appends the pairs the overlay currently subscribes to dst,
+// sorted. An origin's membership counts only while some other origin floods
+// a link to it — the evidence buildGraph needs to route to it at all. A
+// closed broker cannot withdraw its own records, but its neighbors withdraw
+// their links to it, and with them it stops being a destination: its
+// lingering topics must not hold every Persistent publish for a full
+// lifetime.
+func (db *linkStateDB) appendMembers(dst []member) []member {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	linked := make(map[int32]bool, len(db.origins))
+	clear(db.linked)
 	for o, os := range db.origins {
-		for to := range os.links {
-			if to != o {
-				linked[to] = true
+		for _, l := range os.links {
+			if l.To != o {
+				db.linked[l.To] = true
 			}
 		}
 	}
-	var out []member
+	start := len(dst)
 	for o, os := range db.origins {
-		if !linked[o] {
+		if !db.linked[o] {
 			continue
 		}
-		for topic, dl := range os.members {
-			out = append(out, member{routeKey{topic: topic, sub: o}, dl})
+		for _, m := range os.members {
+			dst = append(dst, member{routeKey{topic: m.Topic, sub: o}, m.Deadline})
 		}
 	}
-	slices.SortFunc(out, func(a, b member) int {
+	slices.SortFunc(dst[start:], func(a, b member) int {
 		return cmp.Or(cmp.Compare(a.key.topic, b.key.topic), cmp.Compare(a.key.sub, b.key.sub))
 	})
-	return out
+	return dst
 }
 
 // EstimateVersion implements algo1.Deps.
@@ -235,11 +249,11 @@ func (db *linkStateDB) LinkEstimate(u, v int) (time.Duration, float64, bool) {
 	if os == nil {
 		return 0, 0, false
 	}
-	l, ok := os.links[int32(v)]
+	i, ok := slices.BinarySearchFunc(os.links, int32(v), func(l wire.LinkRecord, to int32) int { return cmp.Compare(l.To, to) })
 	if !ok {
 		return 0, 0, false
 	}
-	return l.alpha, l.gamma, true
+	return os.links[i].Alpha, os.links[i].Gamma, true
 }
 
 // linkStats snapshots the database for monitoring, sorted by (from, to).
@@ -248,9 +262,9 @@ func (db *linkStateDB) linkStats() []wire.LinkStat {
 	defer db.mu.Unlock()
 	var out []wire.LinkStat
 	for o, os := range db.origins {
-		for to, l := range os.links {
+		for _, l := range os.links {
 			out = append(out, wire.LinkStat{
-				From: o, To: to, Alpha: l.alpha, Gamma: l.gamma, Epoch: os.epoch,
+				From: o, To: l.To, Alpha: l.Alpha, Gamma: l.Gamma, Epoch: os.epoch,
 			})
 		}
 	}
@@ -269,29 +283,22 @@ func (db *linkStateDB) snapshotFloods() []*wire.LinkState {
 	defer db.mu.Unlock()
 	out := make([]*wire.LinkState, 0, len(db.origins))
 	for o, os := range db.origins {
-		ls := &wire.LinkState{Origin: o, Epoch: os.epoch}
-		for to, l := range os.links {
-			ls.Links = append(ls.Links, wire.LinkRecord{To: to, Alpha: l.alpha, Gamma: l.gamma})
-		}
-		for topic, dl := range os.members {
-			ls.Members = append(ls.Members, wire.MemberRecord{Topic: topic, Deadline: dl})
-		}
-		slices.SortFunc(ls.Links, func(a, b wire.LinkRecord) int { return cmp.Compare(a.To, b.To) })
-		slices.SortFunc(ls.Members, func(a, b wire.MemberRecord) int { return cmp.Compare(a.Topic, b.Topic) })
-		out = append(out, ls)
+		out = append(out, &wire.LinkState{
+			Origin: o, Epoch: os.epoch, Links: slices.Clone(os.links), Members: slices.Clone(os.members),
+		})
 	}
 	return out
 }
 
 // ctrlSnapshot is the data plane's copy-on-write view of the control plane:
-// this broker's Theorem-1 sending list per (topic, subscriber broker) pair,
-// every topic's destination brokers for publishes (sorted, this broker
-// excluded), and each pair's own <d, r> for monitoring. Lists are
-// table-owned; nothing in a snapshot is mutated after publication.
+// this broker's Theorem-1 sending list per (topic, subscriber broker) pair
+// and every topic's destination brokers for publishes (sorted, this broker
+// excluded). Lists are table-owned; nothing in a snapshot is mutated after
+// publication, and a new one is swapped in only when a list or a
+// destination set changed.
 type ctrlSnapshot struct {
-	lists  map[routeKey][]int
-	dests  map[int32][]int
-	routes []wire.RouteStat
+	lists map[routeKey][]int
+	dests map[int32][]int
 }
 
 // ctrlPlane owns the broker's gossip-fed control state: the link-state
@@ -313,10 +320,24 @@ type ctrlPlane struct {
 	lastMembers []wire.MemberRecord
 	sinceFlood  int
 	topoVer     uint64 // db.topoVer the driver's graph currently reflects
+	memberVer   uint64 // db.memberVer the driver's pairs currently reflect
 	probeTok    uint64 // probe token allocator (control goroutine only)
 	// budgets caches the uniform deadline vector of every deadline a
-	// current pair uses (syncPairs).
-	budgets map[time.Duration][]time.Duration
+	// current pair uses; syncPairs refills spareBudgets and swaps the two.
+	budgets, spareBudgets map[time.Duration][]time.Duration
+
+	// Scratch reused by every step: the measured local records
+	// (floodLocal) and the pair sync's member list, key set and removals.
+	recs    []wire.LinkRecord
+	members []wire.MemberRecord
+	pairs   []member
+	current map[algo1.PairKey]bool
+	gone    []algo1.PairKey
+
+	// routes is every pair's <d, r> at this broker, sorted, for
+	// wire.StatsReply: refilled by publish, copied out by routeStats.
+	routesMu sync.Mutex
+	routes   []wire.RouteStat
 
 	// Counters mirrored for Stats/statsReply (read from any goroutine).
 	sent, recv, stale          atomic.Uint64
@@ -333,6 +354,10 @@ func newCtrlPlane(b *Broker) *ctrlPlane {
 		drv:   algo1.NewDriver(topology.NewGraph(0), db, algo1.DriverOptions{Build: algo1.BuildOptions{M: b.cfg.M}}),
 		kick:  make(chan struct{}, 1),
 		epoch: uint64(time.Now().UnixNano()),
+
+		budgets:      make(map[time.Duration][]time.Duration),
+		spareBudgets: make(map[time.Duration][]time.Duration),
+		current:      make(map[algo1.PairKey]bool),
 	}
 }
 
@@ -381,38 +406,38 @@ func (c *ctrlPlane) step() {
 	c.tablesA.Store(st.TablesBuilt)
 }
 
-// localRecords measures this broker's connected, sampled links, sorted by
-// neighbor.
-func (c *ctrlPlane) localRecords() []wire.LinkRecord {
-	recs := make([]wire.LinkRecord, 0, len(c.b.neighbors))
+// appendLocalRecords appends this broker's connected, sampled links to
+// dst, sorted by neighbor.
+func (c *ctrlPlane) appendLocalRecords(dst []wire.LinkRecord) []wire.LinkRecord {
+	start := len(dst)
 	for _, nc := range c.b.neighbors {
 		if r, ok := nc.record(); ok {
-			recs = append(recs, r)
+			dst = append(dst, r)
 		}
 	}
-	slices.SortFunc(recs, func(a, b wire.LinkRecord) int { return cmp.Compare(a.To, b.To) })
-	return recs
+	slices.SortFunc(dst[start:], func(a, b wire.LinkRecord) int { return cmp.Compare(a.To, b.To) })
+	return dst
 }
 
-// localMembers states this broker's membership: one record per topic with
-// local subscribers, carrying the loosest deadline among them (the budget
-// Algorithm 1 admits against), sorted by topic. Subscriptions still waiting
-// for the coalescing flusher are published first: a topic must not reach
-// the publishers before its delivery ledger does, or the first packets
-// routed here would find no one to deliver to.
-func (c *ctrlPlane) localMembers() []wire.MemberRecord {
+// appendLocalMembers appends this broker's membership to dst: one record
+// per topic with local subscribers, carrying the loosest deadline among them
+// (the budget Algorithm 1 admits against), sorted by topic. Subscriptions
+// still waiting for the coalescing flusher are published first: a topic must
+// not reach the publishers before its delivery ledger does, or the first
+// packets routed here would find no one to deliver to.
+func (c *ctrlPlane) appendLocalMembers(dst []wire.MemberRecord) []wire.MemberRecord {
 	b := c.b
+	start := len(dst)
 	b.mu.Lock()
 	b.flushSubsLocked()
-	out := make([]wire.MemberRecord, 0, len(b.topics))
 	for topic, ts := range b.topics {
 		if ts.occupied() {
-			out = append(out, wire.MemberRecord{Topic: topic, Deadline: ts.maxDeadline()})
+			dst = append(dst, wire.MemberRecord{Topic: topic, Deadline: ts.maxDeadline()})
 		}
 	}
 	b.mu.Unlock()
-	slices.SortFunc(out, func(a, b wire.MemberRecord) int { return cmp.Compare(a.Topic, b.Topic) })
-	return out
+	slices.SortFunc(dst[start:], func(a, b wire.MemberRecord) int { return cmp.Compare(a.Topic, b.Topic) })
+	return dst
 }
 
 // recordsClose reports whether two record sets agree within the re-flood
@@ -447,30 +472,36 @@ func recordsClose(a, b []wire.LinkRecord) bool {
 // the raw estimates — keeps every database in the overlay converging on
 // identical content, so every broker computes identical tables.
 func (c *ctrlPlane) floodLocal() {
-	recs, members := c.localRecords(), c.localMembers()
+	c.recs = c.appendLocalRecords(c.recs[:0])
+	c.members = c.appendLocalMembers(c.members[:0])
 	c.sinceFlood++
-	if recordsClose(recs, c.lastFlood) && slices.Equal(members, c.lastMembers) && c.sinceFlood < ctrlRefreshEvery {
+	if recordsClose(c.recs, c.lastFlood) && slices.Equal(c.members, c.lastMembers) && c.sinceFlood < ctrlRefreshEvery {
 		return
 	}
 	c.sinceFlood = 0
-	c.lastFlood, c.lastMembers = recs, members
+	c.lastFlood = append(c.lastFlood[:0], c.recs...)
+	c.lastMembers = append(c.lastMembers[:0], c.members...)
 	c.epoch++
 	c.epochA.Store(c.epoch)
-	ls := &wire.LinkState{Origin: int32(c.b.cfg.ID), Epoch: c.epoch, Links: recs, Members: members}
-	c.db.apply(ls)
-	c.flood(ls, -1)
+	m := newFloodMsg(int32(c.b.cfg.ID), c.epoch, c.recs, c.members)
+	c.db.apply(&m.LinkState)
+	c.flood(m, -1)
+	m.release()
 }
 
-// flood sends one LinkState to every connected neighbor except `except`
-// (the peer it arrived from) and the origin itself. The message is shared
-// read-only across writer pipelines.
-func (c *ctrlPlane) flood(ls *wire.LinkState, except int) {
+// flood queues one LinkState to every connected neighbor except `except`
+// (the peer it arrived from) and the origin itself. Every queued copy is
+// the same message, read-only to the writers, holding one reference.
+func (c *ctrlPlane) flood(m *floodMsg, except int) {
 	for id, nc := range c.b.neighbors {
-		if id == except || id == int(ls.Origin) {
+		if id == except || id == int(m.Origin) {
 			continue
 		}
-		if nc.send(ls) == nil {
+		m.refs.Add(1)
+		if nc.send(m) == nil {
 			c.sent.Add(1)
+		} else {
+			m.release()
 		}
 	}
 }
@@ -488,8 +519,8 @@ func (c *ctrlPlane) syncTo(nc *neighborConn) {
 
 // handleLinkState folds one received flood into the database, re-floods
 // newer records onward and wakes the control loop when the flood changed
-// something. m is recycled by the caller's Reader after return, so records
-// are copied before they are retained or re-flooded.
+// something. m is recycled by the caller's Reader after return: the database
+// copies what it keeps, and the re-flood is a pooled copy.
 func (b *Broker) handleLinkState(nc *neighborConn, m *wire.LinkState) {
 	c := b.ctrl
 	c.recv.Add(1)
@@ -502,15 +533,44 @@ func (b *Broker) handleLinkState(nc *neighborConn, m *wire.LinkState) {
 			return
 		}
 	}
-	ls := &wire.LinkState{Origin: m.Origin, Epoch: m.Epoch, Links: slices.Clone(m.Links), Members: slices.Clone(m.Members)}
-	newer, changed := c.db.apply(ls)
+	newer, changed := c.db.apply(m)
 	if !newer {
 		c.stale.Add(1)
 		return
 	}
-	c.flood(ls, nc.id)
+	fm := newFloodMsg(m.Origin, m.Epoch, m.Links, m.Members)
+	c.flood(fm, nc.id)
+	fm.release()
 	if changed {
 		c.kickCtrl()
+	}
+}
+
+// floodMsg is a LinkState on its way to several writers at once: pooled,
+// and counting one reference per queued copy plus the producer's own while
+// it fans the message out. The last release recycles it.
+type floodMsg struct {
+	wire.LinkState
+	refs atomic.Int32
+}
+
+var floodMsgPool = sync.Pool{New: func() any { return new(floodMsg) }}
+
+// newFloodMsg takes a pooled flood holding one reference and copies of the
+// record sets.
+func newFloodMsg(origin int32, epoch uint64, links []wire.LinkRecord, members []wire.MemberRecord) *floodMsg {
+	m := floodMsgPool.Get().(*floodMsg)
+	m.Origin, m.Epoch = origin, epoch
+	m.Links = append(m.Links[:0], links...)
+	m.Members = append(m.Members[:0], members...)
+	m.refs.Store(1)
+	return m
+}
+
+// release drops one reference.
+func (m *floodMsg) release() {
+	if m.refs.Add(-1) == 0 {
+		floodMsgPool.Put(m)
 	}
 }
 
@@ -578,25 +638,33 @@ func (b *Broker) handleProbe(nc *neighborConn, m *wire.Probe) {
 // destinations must lose the pair. Budgets are uniform deadline vectors —
 // every node's residual D_XS is the subscription deadline — reproducing the
 // live admission rule (publishers are decoupled, so per-publisher residuals
-// are unknowable; see the package comment in broker.go). Identical
-// re-registration is a driver no-op, so the full sync per epoch costs
-// nothing at steady state.
+// are unknowable; see the package comment in broker.go). When neither the
+// topology nor any membership moved since the last complete sync, the pair
+// set cannot have changed and the sync returns at once.
 func (c *ctrlPlane) syncPairs() (removed bool) {
-	if tv := c.db.topoVersion(); tv != c.topoVer {
+	tv, mv := c.db.versions()
+	if tv == c.topoVer && mv == c.memberVer {
+		return false
+	}
+	if tv != c.topoVer {
 		c.drv.SetGraph(c.db.buildGraph())
 		c.topoVer = tv
 	}
 	n := c.drv.Graph().N()
-	members := c.db.members()
-	current := make(map[algo1.PairKey]bool, len(members))
+	c.pairs = c.db.appendMembers(c.pairs[:0])
+	clear(c.current)
 	// Deadlines arrive from outside (every broker's subscribers), so the
 	// vector cache keeps only those a current pair uses.
-	budgets := make(map[time.Duration][]time.Duration, len(c.budgets))
-	for _, m := range members {
+	clear(c.spareBudgets)
+	complete := true
+	for _, m := range c.pairs {
 		if int(m.key.sub) >= n {
-			continue // a flood landed after the graph was built; the next step has it
+			// A flood landed after the graph was built; the next step has
+			// it, so this sync does not count as done.
+			complete = false
+			continue
 		}
-		budget := budgets[m.deadline]
+		budget := c.spareBudgets[m.deadline]
 		if budget == nil {
 			if budget = c.budgets[m.deadline]; len(budget) != n {
 				budget = make([]time.Duration, n)
@@ -604,53 +672,89 @@ func (c *ctrlPlane) syncPairs() (removed bool) {
 					budget[i] = m.deadline
 				}
 			}
-			budgets[m.deadline] = budget
+			c.spareBudgets[m.deadline] = budget
 		}
 		key := algo1.PairKey{Topic: m.key.topic, Sub: m.key.sub}
 		c.drv.SetPair(key, int(m.key.sub), budget)
-		current[key] = true
+		c.current[key] = true
 	}
-	c.budgets = budgets
-	var gone []algo1.PairKey
+	c.budgets, c.spareBudgets = c.spareBudgets, c.budgets
+	c.gone = c.gone[:0]
 	c.drv.Pairs(func(key algo1.PairKey, _ *algo1.Table) {
-		if !current[key] {
-			gone = append(gone, key)
+		if !c.current[key] {
+			c.gone = append(c.gone, key)
 		}
 	})
-	for _, key := range gone {
+	for _, key := range c.gone {
 		c.drv.RemovePair(key)
 	}
-	return len(gone) > 0
+	if complete {
+		c.memberVer = mv
+	}
+	return len(c.gone) > 0
 }
 
-// publish swaps in a fresh snapshot: for every registered pair, this
-// broker's own sending list and <d, r> (Lists[self] and Params[self] of the
+// publish refreshes the route stats — every registered pair's <d, r> at
+// this broker — and swaps in a fresh snapshot when the data plane's view
+// moved: for every pair, this broker's own sending list (Lists[self] of the
 // pair's table), and the pair's subscriber as a destination of its topic.
+// A rebuild that re-sorted none of this broker's lists and moved no
+// destination publishes nothing.
 func (c *ctrlPlane) publish() {
 	self := c.b.cfg.ID
-	snap := &ctrlSnapshot{lists: make(map[routeKey][]int), dests: make(map[int32][]int)}
+	cur := c.b.ctrlSnap.Load()
+	moved := false
+	lists, dests := 0, 0
+	c.routesMu.Lock()
+	c.routes = c.routes[:0]
 	c.drv.Pairs(func(key algo1.PairKey, t *algo1.Table) {
 		if int(key.Sub) != self {
-			snap.dests[key.Topic] = append(snap.dests[key.Topic], int(key.Sub))
+			dests++
+			_, found := slices.BinarySearch(cur.dests[key.Topic], int(key.Sub))
+			moved = moved || !found
 		}
 		if t == nil || self >= len(t.Lists) {
 			return
 		}
 		if l := t.Lists[self]; len(l) > 0 {
-			snap.lists[routeKey{topic: key.Topic, sub: key.Sub}] = l
+			lists++
+			moved = moved || !slices.Equal(cur.lists[routeKey{topic: key.Topic, sub: key.Sub}], l)
 		}
-		snap.routes = append(snap.routes, wire.RouteStat{
+		c.routes = append(c.routes, wire.RouteStat{
 			Topic: key.Topic, Sub: key.Sub,
 			D: t.Params[self].D, R: t.Params[self].R, ListLen: int32(len(t.Lists[self])),
 		})
 	})
+	slices.SortFunc(c.routes, func(a, b wire.RouteStat) int {
+		return cmp.Or(cmp.Compare(a.Topic, b.Topic), cmp.Compare(a.Sub, b.Sub))
+	})
+	c.routesMu.Unlock()
+	for _, d := range cur.dests {
+		dests -= len(d)
+	}
+	if !moved && lists == len(cur.lists) && dests == 0 {
+		return
+	}
+	snap := &ctrlSnapshot{lists: make(map[routeKey][]int, lists), dests: make(map[int32][]int)}
+	c.drv.Pairs(func(key algo1.PairKey, t *algo1.Table) {
+		if int(key.Sub) != self {
+			snap.dests[key.Topic] = append(snap.dests[key.Topic], int(key.Sub))
+		}
+		if t != nil && self < len(t.Lists) && len(t.Lists[self]) > 0 {
+			snap.lists[routeKey{topic: key.Topic, sub: key.Sub}] = t.Lists[self]
+		}
+	})
 	for _, d := range snap.dests {
 		slices.Sort(d)
 	}
-	slices.SortFunc(snap.routes, func(a, b wire.RouteStat) int {
-		return cmp.Or(cmp.Compare(a.Topic, b.Topic), cmp.Compare(a.Sub, b.Sub))
-	})
 	c.b.ctrlSnap.Store(snap)
+}
+
+// routeStats copies the route stats the last publish left.
+func (c *ctrlPlane) routeStats() []wire.RouteStat {
+	c.routesMu.Lock()
+	defer c.routesMu.Unlock()
+	return slices.Clone(c.routes)
 }
 
 // ctrlStats snapshots the control plane for Stats and wire.StatsReply.

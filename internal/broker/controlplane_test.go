@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"math/rand/v2"
+	"net"
 	"slices"
 	"testing"
 	"time"
@@ -52,10 +53,10 @@ func linkedPair(db *linkStateDB) {
 	}
 }
 
-// memberSet renders db.members() as "topic@sub:deadline" strings.
+// memberSet renders db.appendMembers as "topic@sub:deadline" strings.
 func memberSet(db *linkStateDB) []string {
 	var out []string
-	for _, m := range db.members() {
+	for _, m := range db.appendMembers(nil) {
 		out = append(out, fmt.Sprintf("%d@%d:%v", m.key.topic, m.key.sub, m.deadline))
 	}
 	return out
@@ -350,11 +351,10 @@ func memberTopics(b *Broker, origin int32) []int32 {
 	defer db.mu.Unlock()
 	var out []int32
 	if os := db.origins[origin]; os != nil {
-		for topic := range os.members {
-			out = append(out, topic)
+		for _, m := range os.members {
+			out = append(out, m.Topic)
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -461,5 +461,92 @@ func TestClosedSubscriberBrokerLeavesDestinations(t *testing.T) {
 	})
 	if d := published[0].Dests; len(d) != 0 {
 		t.Errorf("publish routed to %v after broker 2 closed", d)
+	}
+}
+
+// TestControlPlaneAllocBudget holds the control plane to its allocation
+// budget on the middle broker of a converged 3-broker chain 0 — 1 — 2 with a
+// subscriber behind broker 2. A flood that moves one estimate, plus the
+// control step it triggers, costs the rebuilt pair's new table (one object
+// on a graph this small, two on a large one) and nothing else: the database diffs records in place, the re-flood is a
+// pooled message, the pair sync returns at once and no sending list moved,
+// so no snapshot is swapped in. A stale duplicate of that flood costs
+// nothing. Writers are stood in for by draining each link's queue after
+// every step, releasing what it holds as a writer does.
+func TestControlPlaneAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a quarter of what is put back")
+	}
+	b := &Broker{cfg: Config{ID: 1}.withDefaults(), neighbors: map[int]*neighborConn{0: newNeighborConn(0), 2: newNeighborConn(2)}}
+	b.ctrl = newCtrlPlane(b)
+	b.ctrlSnap.Store(&ctrlSnapshot{})
+	for _, nc := range b.neighbors {
+		near, far := net.Pipe()
+		t.Cleanup(func() { _ = near.Close(); _ = far.Close() })
+		nc.conn, nc.w = near, newConnWriter(near, 16, nil)
+		nc.alpha, nc.sampled = time.Millisecond, true
+		nc.gammaAt = time.Now().Add(time.Hour) // no idle probes during the test
+	}
+	drain := func() {
+		for _, nc := range b.neighbors {
+			nc.w.releaseQueued()
+		}
+	}
+	c := b.ctrl
+	alpha := time.Millisecond
+	// One recycled frame per origin, as a connection's Reader hands them
+	// over, so the test itself allocates nothing per flood.
+	frames := map[int32]*wire.LinkState{
+		0: {Origin: 0, Links: []wire.LinkRecord{{To: 1, Gamma: 0.99}}},
+		2: {Origin: 2, Links: []wire.LinkRecord{{To: 1, Gamma: 0.99}}, Members: []wire.MemberRecord{{Topic: 1, Deadline: time.Second}}},
+	}
+	flood := func(origin int32, fresh bool) *wire.LinkState {
+		ls := frames[origin]
+		if fresh {
+			ls.Epoch++
+		}
+		ls.Links[0].Alpha = alpha
+		return ls
+	}
+	b.handleLinkState(b.neighbors[0], flood(0, true))
+	b.handleLinkState(b.neighbors[2], flood(2, true))
+	c.step()
+	drain()
+	if got := ctrlList(b, 1, 2); len(got) == 0 || got[0] != 2 {
+		t.Fatalf("sending list toward broker 2 = %v, want [2 ...]", got)
+	}
+	snap := b.ctrlSnap.Load()
+
+	changed := func() {
+		alpha ^= time.Microsecond // 1ms ↔ 1.001ms: the estimate moves, no list does
+		b.handleLinkState(b.neighbors[0], flood(0, true))
+		c.step()
+		drain()
+	}
+	for i := 0; i < 2*ctrlRefreshEvery; i++ { // pools, scratch and the periodic re-flood warmed up
+		changed()
+	}
+	rebuilds := c.rebuildsA.Load()
+	perChange := testing.AllocsPerRun(100, changed)
+	if got := c.rebuildsA.Load() - rebuilds; got < 100 {
+		t.Fatalf("%d rebuilds over 101 changed floods; the test must rebuild every step", got)
+	}
+	if b.ctrlSnap.Load() != snap {
+		t.Fatal("a rebuild that moved no sending list swapped the snapshot")
+	}
+	t.Logf("%.1f objects per changed flood and step", perChange)
+	if perChange > 4 {
+		t.Errorf("a changed flood and its step allocate %.1f objects, want at most 4 (the rebuilt pair's "+
+			"new table): records are diffed in place, re-floods are pooled, an unmoved pair set is "+
+			"not re-synced, and an unmoved list publishes nothing", perChange)
+	}
+
+	stale := flood(0, false)
+	recv := c.stale.Load()
+	if perStale := testing.AllocsPerRun(100, func() { b.handleLinkState(b.neighbors[0], stale) }); perStale != 0 {
+		t.Errorf("a stale duplicate flood allocates %.1f objects, want 0", perStale)
+	}
+	if c.stale.Load()-recv != 101 {
+		t.Fatalf("stale drops moved by %d over 101 duplicate floods", c.stale.Load()-recv)
 	}
 }

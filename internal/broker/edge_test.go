@@ -229,7 +229,7 @@ func TestSessionUnsubNarrowsDelivery(t *testing.T) {
 func TestMembershipNeverPrecedesLedger(t *testing.T) {
 	b, _ := startEdgeBroker(t, 1)
 	b.sessionSub(&clientConn{name: "sub"}, &wire.SessionSub{Topic: 6, Deadline: time.Second})
-	if m := b.ctrl.localMembers(); len(m) != 1 || m[0].Topic != 6 {
+	if m := b.ctrl.appendLocalMembers(nil); len(m) != 1 || m[0].Topic != 6 {
 		t.Fatalf("membership = %+v, want topic 6", m)
 	}
 	if n := b.localLedger(6).subscribers(); n != 1 {

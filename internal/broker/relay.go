@@ -93,15 +93,15 @@ func (nc *neighborConn) resetRelay() {
 	nc.mu.Unlock()
 }
 
-// appendAckBatch encodes the coalesced ACK set as one AckBatch frame onto
-// the writer buffer. IDs are sorted ascending first: the encoding is
-// consecutive deltas, and in-order frame IDs from one shard differ by one.
-func (b *Broker) appendAckBatch(buf []byte, label string, ids []uint64) []byte {
-	slices.Sort(ids)
-	ab := wire.AckBatch{FrameIDs: ids}
-	buf = b.appendFrameChecked(buf, label, &ab)
+// appendAckBatch encodes the coalesced ACK set ab.FrameIDs as one AckBatch
+// frame onto the writer buffer; ab is the writer's own, reused every flush.
+// IDs are sorted ascending first: the encoding is consecutive deltas, and
+// in-order frame IDs from one shard differ by one.
+func (b *Broker) appendAckBatch(buf []byte, label string, ab *wire.AckBatch) []byte {
+	slices.Sort(ab.FrameIDs)
+	buf = b.appendFrameChecked(buf, label, ab)
 	b.ackBatches.Add(1)
-	b.ackFramesCoalesced.Add(uint64(len(ids)))
+	b.ackFramesCoalesced.Add(uint64(len(ab.FrameIDs)))
 	return buf
 }
 
@@ -141,6 +141,8 @@ func releaseMsg(m wire.Message) {
 		t.payload.Release()
 		t.payload, t.SubIDs, t.Payload = nil, nil, nil
 		muxMsgPool.Put(t)
+	case *floodMsg:
+		t.release()
 	case *dataMsg:
 		t.payload.Release()
 		t.payload, t.Payload = nil, nil

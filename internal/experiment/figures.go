@@ -129,11 +129,6 @@ type FigureOptions struct {
 	Seed       uint64
 }
 
-// QuickOptions returns laptop-scale settings.
-func QuickOptions() FigureOptions {
-	return FigureOptions{Duration: "60s", Topologies: 2, Seed: 1}
-}
-
 // FullOptions returns the paper's settings.
 func FullOptions() FigureOptions {
 	return FigureOptions{Duration: "2h", Topologies: 10, Seed: 1}

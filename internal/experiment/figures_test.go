@@ -171,9 +171,8 @@ func TestExtensionPersistencyStructure(t *testing.T) {
 	checkTables(t, tables, 2)
 }
 
-func TestQuickAndFullOptions(t *testing.T) {
-	q, f := QuickOptions(), FullOptions()
-	if q.Duration == "" || f.Duration != "2h" || f.Topologies != 10 {
-		t.Errorf("options: quick %+v full %+v", q, f)
+func TestFullOptions(t *testing.T) {
+	if f := FullOptions(); f.Duration != "2h" || f.Topologies != 10 {
+		t.Errorf("full options %+v, want the paper's 2h x 10 topologies", f)
 	}
 }

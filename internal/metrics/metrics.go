@@ -145,19 +145,6 @@ func (r Result) MeanLatency() time.Duration {
 	return sum / time.Duration(len(r.Latencies))
 }
 
-// LatencyQuantile returns the q-quantile (0..1) of delivered latencies.
-func (r Result) LatencyQuantile(q float64) (time.Duration, error) {
-	xs := make([]float64, len(r.Latencies))
-	for i, l := range r.Latencies {
-		xs[i] = float64(l)
-	}
-	v, err := stats.Quantile(xs, q)
-	if err != nil {
-		return 0, err
-	}
-	return time.Duration(v), nil
-}
-
 // String summarizes the result in one line.
 func (r Result) String() string {
 	return fmt.Sprintf("delivered %d/%d (%.2f%%), on-time %.2f%%, %.2f pkts/sub, mean latency %v",

@@ -92,7 +92,7 @@ func TestNodeFailureTakesDownIncidentLinks(t *testing.T) {
 	for e := 0; e < 200; e++ {
 		at := time.Duration(e) * time.Second
 		for u := 0; u < 3; u++ {
-			if n.NodeAlive(u, at) {
+			if !n.nodeFailedAt(u, at) {
 				continue
 			}
 			foundFailure = true
@@ -118,7 +118,7 @@ func TestNodeFailureProbabilityStatistical(t *testing.T) {
 	failed := 0
 	const epochs = 20000
 	for e := 0; e < epochs; e++ {
-		if !n.NodeAlive(0, time.Duration(e)*time.Second) {
+		if n.nodeFailedAt(0, time.Duration(e)*time.Second) {
 			failed++
 		}
 	}
@@ -132,7 +132,7 @@ func TestNodeFailureZeroNeverFails(t *testing.T) {
 	g := pairGraph(t, time.Millisecond)
 	_, n := newNet(t, g, Config{FailureEpoch: time.Second, MonitorInterval: time.Minute})
 	for e := 0; e < 100; e++ {
-		if !n.NodeAlive(0, time.Duration(e)*time.Second) {
+		if n.nodeFailedAt(0, time.Duration(e)*time.Second) {
 			t.Fatal("node failed with Pn=0")
 		}
 	}

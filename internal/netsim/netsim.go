@@ -373,12 +373,6 @@ func (n *Network) Alive(u, v int, t time.Duration) bool {
 	return !n.failedAt(int(idx), t)
 }
 
-// NodeAlive reports whether broker node u is up at virtual time t under the
-// node-failure extension (always true when NodeFailureProb is 0).
-func (n *Network) NodeAlive(u int, t time.Duration) bool {
-	return !n.nodeFailedAt(u, t)
-}
-
 // nodeFailedAt is the deterministic per-(node, epoch) Bernoulli(Pn) draw of
 // the node-failure process, mirroring failedAt for links.
 func (n *Network) nodeFailedAt(u int, t time.Duration) bool {

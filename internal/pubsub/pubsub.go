@@ -262,12 +262,3 @@ func (w *Workload) Deadline(t, node int) (time.Duration, bool) {
 func (w *Workload) PublisherTree(t int) *topology.ShortestPathTree {
 	return w.spDelay[t]
 }
-
-// TotalSubscriptions counts (topic, subscriber) pairs across all topics.
-func (w *Workload) TotalSubscriptions() int {
-	total := 0
-	for _, t := range w.topics {
-		total += len(t.Subscribers)
-	}
-	return total
-}

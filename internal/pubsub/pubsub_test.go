@@ -120,24 +120,6 @@ func TestPublisherTree(t *testing.T) {
 	}
 }
 
-func TestTotalSubscriptions(t *testing.T) {
-	g := testGraph(t, 11)
-	w, err := Generate(g, DefaultConfig(), testRng(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0
-	for _, topic := range w.Topics() {
-		sum += len(topic.Subscribers)
-	}
-	if got := w.TotalSubscriptions(); got != sum {
-		t.Errorf("TotalSubscriptions = %d, want %d", got, sum)
-	}
-	if sum == 0 {
-		t.Error("workload has zero subscriptions")
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	g := testGraph(t, 13)
 	w1, err := Generate(g, DefaultConfig(), testRng(14))

@@ -117,7 +117,4 @@ func TestNewStaticPublisherTreeAndDestinations(t *testing.T) {
 	if len(dests) != 2 || dests[0] != 3 || dests[1] != 0 {
 		t.Errorf("destinations = %v", dests)
 	}
-	if w.TotalSubscriptions() != 2 {
-		t.Errorf("total subscriptions = %d", w.TotalSubscriptions())
-	}
 }

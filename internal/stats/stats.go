@@ -128,30 +128,6 @@ func (c *CDF) At(x float64) float64 {
 	return float64(i) / float64(len(c.sorted))
 }
 
-// Points returns up to n evenly spaced (x, P(X<=x)) pairs spanning the
-// sample range, suitable for plotting. It returns nil for an empty CDF.
-func (c *CDF) Points(n int) []Point {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
-	if n == 1 || lo == hi {
-		return []Point{{X: hi, Y: 1}}
-	}
-	pts := make([]Point, 0, n)
-	step := (hi - lo) / float64(n-1)
-	for i := 0; i < n; i++ {
-		x := lo + float64(i)*step
-		pts = append(pts, Point{X: x, Y: c.At(x)})
-	}
-	return pts
-}
-
-// Point is a single (x, y) sample of a curve.
-type Point struct {
-	X, Y float64
-}
-
 // MeanCI returns the sample mean of xs together with the half-width of a
 // normal-approximation confidence interval at the given z value
 // (z = 1.96 for ~95%).
@@ -162,25 +138,4 @@ func MeanCI(xs []float64, z float64) (mean, halfWidth float64) {
 	}
 	halfWidth = z * StdDev(xs) / math.Sqrt(float64(len(xs)))
 	return mean, halfWidth
-}
-
-// Histogram counts samples into nbins equal-width bins over [lo, hi].
-// Samples outside the range are clamped into the first/last bin.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 || hi <= lo {
-		return nil
-	}
-	bins := make([]int, nbins)
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		bins[i]++
-	}
-	return bins
 }

@@ -145,28 +145,6 @@ func TestCDF(t *testing.T) {
 	if got := empty.At(1); got != 0 {
 		t.Errorf("empty CDF At = %v, want 0", got)
 	}
-	if pts := empty.Points(5); pts != nil {
-		t.Errorf("empty CDF Points = %v, want nil", pts)
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{0, 1, 2, 3, 4})
-	pts := c.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("Points len = %d, want 5", len(pts))
-	}
-	if pts[0].X != 0 || pts[4].X != 4 {
-		t.Errorf("Points range [%v, %v], want [0, 4]", pts[0].X, pts[4].X)
-	}
-	if pts[4].Y != 1 {
-		t.Errorf("last point Y = %v, want 1", pts[4].Y)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Y < pts[i-1].Y {
-			t.Errorf("CDF not monotone at %d: %v < %v", i, pts[i].Y, pts[i-1].Y)
-		}
-	}
 }
 
 func TestMeanCI(t *testing.T) {
@@ -181,22 +159,6 @@ func TestMeanCI(t *testing.T) {
 	_, hw = MeanCI([]float64{1, 2, 3, 4, 5}, 1.96)
 	if hw <= 0 {
 		t.Errorf("MeanCI half-width = %v, want > 0", hw)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	bins := Histogram([]float64{0.1, 0.9, 1.5, 2.5, -5, 100}, 0, 3, 3)
-	want := []int{3, 1, 2} // -5 clamps into bin 0, 100 into bin 2
-	for i := range want {
-		if bins[i] != want[i] {
-			t.Errorf("bin %d = %d, want %d (bins %v)", i, bins[i], want[i], bins)
-		}
-	}
-	if got := Histogram(nil, 0, 1, 0); got != nil {
-		t.Errorf("zero bins should yield nil, got %v", got)
-	}
-	if got := Histogram(nil, 1, 1, 3); got != nil {
-		t.Errorf("empty range should yield nil, got %v", got)
 	}
 }
 

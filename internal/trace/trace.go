@@ -91,9 +91,8 @@ type Recorder interface {
 type Buffer struct {
 	events []Event
 	// Limit bounds stored events (0 = unbounded); once reached, further
-	// events are counted but not stored.
-	Limit   int
-	dropped int
+	// events are dropped.
+	Limit int
 }
 
 var _ Recorder = (*Buffer)(nil)
@@ -101,7 +100,6 @@ var _ Recorder = (*Buffer)(nil)
 // Record stores one event.
 func (b *Buffer) Record(e Event) {
 	if b.Limit > 0 && len(b.events) >= b.Limit {
-		b.dropped++
 		return
 	}
 	// Copy the dest slice: callers reuse their buffers.
@@ -113,9 +111,6 @@ func (b *Buffer) Record(e Event) {
 
 // Events returns all stored events in record order.
 func (b *Buffer) Events() []Event { return b.events }
-
-// Truncated reports how many events were discarded due to Limit.
-func (b *Buffer) Truncated() int { return b.dropped }
 
 // Packets lists the distinct packet IDs present, ascending.
 func (b *Buffer) Packets() []uint64 {

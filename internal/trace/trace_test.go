@@ -82,9 +82,6 @@ func TestBufferLimit(t *testing.T) {
 	if len(b.Events()) != 3 {
 		t.Errorf("stored %d events, want 3", len(b.Events()))
 	}
-	if b.Truncated() != 7 {
-		t.Errorf("truncated = %d, want 7", b.Truncated())
-	}
 }
 
 func TestWriteTimeline(t *testing.T) {
